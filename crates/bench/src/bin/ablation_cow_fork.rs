@@ -2,12 +2,12 @@
 //! machine costs, how much of the image stays shared over a debugging
 //! session, and what the one-load-plus-K-forks economy saves on a
 //! perturbing grid group compared with re-assembling and re-loading the
-//! image per engine configuration (`DISE_COW_FORK=0`'s shape). The
-//! outputs are byte-identical either way (the determinism, conformance
-//! and property suites prove that); this harness shows the counters and
-//! the wall-clock deltas, honestly — on small kernels the assembly and
-//! load being amortised are themselves small, so the relative win
-//! tracks image size, not simulation length.
+//! image per engine configuration (the `batch_session_jobs_with(..,
+//! false)` partition). The outputs are byte-identical either way (the
+//! determinism, conformance and property suites prove that); this
+//! harness shows the counters and the wall-clock deltas, honestly — on
+//! small kernels the assembly and load being amortised are themselves
+//! small, so the relative win tracks image size, not simulation length.
 
 use std::time::Instant;
 
@@ -19,7 +19,7 @@ use dise_mem::PAGE_SIZE;
 use dise_workloads::{all, transition_cost_sweep, WatchKind};
 
 fn main() {
-    let iters: u32 = dise_bench::env_number("DISE_ITERS", 2_000);
+    let iters: u32 = dise_env::env_number("DISE_ITERS", 2_000);
     let workloads = all(iters);
 
     // 1. Fork latency and page sharing, per kernel: load the image,

@@ -121,9 +121,9 @@ fn json_row(s: &Sample) -> String {
 
 #[allow(clippy::too_many_lines)]
 fn main() {
-    let iters: u32 = dise_bench::env_number("DISE_ITERS", 20_000);
-    let reps: u32 = dise_bench::env_number("DISE_REPS", 5);
-    let chunk: u64 = dise_bench::env_number("DISE_CHUNK", 64);
+    let iters: u32 = dise_env::env_number("DISE_ITERS", 20_000);
+    let reps: u32 = dise_env::env_number("DISE_REPS", 5);
+    let chunk: u64 = dise_env::env_number("DISE_CHUNK", 64);
     assert!(chunk > 1, "the ablation compares DISE_CHUNK={chunk} against the per-record 1");
 
     // The watch-sparse kernel: a tight store loop hammering `hot`,

@@ -2,8 +2,9 @@
 //! sessions (default 1000, override with `DISE_SESSIONS`) on one
 //! [`Scheduler`] and report what the multiplexer did — slices granted,
 //! preemptions, the worst queue wait any session saw, and the in-flight
-//! high-water mark — next to the thread-per-job shape the grid used
-//! before `DISE_SCHED`.
+//! high-water mark. The grid drives every session shape through this
+//! same scheduler; `DISE_SLICE` sets the grant (a slice of `u64::MAX`
+//! is one unsliced grant per session, the run-to-completion shape).
 //!
 //! Honesty about the wall clock: this container is a single core, so
 //! slicing 1000 sessions across it cannot finish *sooner* than running
@@ -23,7 +24,7 @@ use dise_debug::{BackendKind, Scheduler, SessionTask, TaskOutput};
 use dise_workloads::{all, WatchKind};
 
 fn main() {
-    let sessions: usize = dise_bench::env_number("DISE_SESSIONS", 1_000);
+    let sessions: usize = dise_env::env_number("DISE_SESSIONS", 1_000);
     let workers = dise_bench::configured_workers();
     let slice = dise_bench::slice_from_env();
 
@@ -98,7 +99,7 @@ fn main() {
     );
     println!(
         "\nLiveness, not throughput: on one core the sliced drain retires the same\n\
-         {instructions} instructions as thread-per-job plus scheduling overhead, but every\n\
+         {instructions} instructions as unsliced grants plus scheduling overhead, but every\n\
          session is admitted early ({} in flight at the high-water mark) and the worst\n\
          queue wait any session saw was {} slices across {} grants.",
         stats.max_in_flight, stats.max_wait_slices, stats.slices_granted

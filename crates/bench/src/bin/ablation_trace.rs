@@ -26,7 +26,7 @@ fn scratch_dir() -> std::path::PathBuf {
 }
 
 fn main() {
-    let iters: u32 = dise_bench::env_number("DISE_ITERS", 2_000);
+    let iters: u32 = dise_env::env_number("DISE_ITERS", 2_000);
     let dir = scratch_dir();
 
     // 1. The acceptance kernel: a tight store loop, the best case for

@@ -31,7 +31,7 @@ pub struct Experiment {
 
 impl Default for Experiment {
     fn default() -> Experiment {
-        Experiment::new(grid::env_number("DISE_ITERS", 400), CpuConfig::default())
+        Experiment::new(dise_env::env_number("DISE_ITERS", 400), CpuConfig::default())
     }
 }
 

@@ -1,12 +1,14 @@
 //! The job-grid subsystem: every table/figure is a grid of independent
 //! debugging sessions (kernel × watchpoint-set × backend × config).
-//! This module decomposes a grid into [`SessionJob`] values, runs them
-//! on a `std::thread` worker pool, and reassembles the per-cell results
-//! in submission order, so parallel output is byte-identical to serial.
+//! This module decomposes a grid into [`SessionJob`] values, groups
+//! them into [`CellGroup`]s that share functional work, runs every
+//! group as a resumable [`SessionTask`] on the cooperative
+//! [`Scheduler`], and reassembles the per-cell results in submission
+//! order, so parallel output is byte-identical to serial.
 //!
 //! Worker count comes from the `DISE_JOBS` environment variable
-//! (default: the machine's available parallelism, capped by the number
-//! of jobs); `DISE_JOBS=1` runs every job inline on the calling thread.
+//! (default: the machine's available parallelism); `DISE_JOBS=1` drains
+//! every task inline on the calling thread.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -18,6 +20,7 @@ use dise_debug::{
     app_fingerprint, run_session, BackendKind, BaselineCache, DebugError, Scheduler, SessionReport,
     SessionTask, TaskOutput, Watchpoint,
 };
+use dise_env::env_number;
 use dise_workloads::Workload;
 
 /// One cell of an experiment grid: a kernel, the watchpoints to plant,
@@ -76,7 +79,7 @@ impl SessionJob {
 
     /// Convert a session result (from [`SessionJob::report`] or a
     /// drained [`SessionTask`]) into this cell's overhead — the one
-    /// conversion both the threaded and the scheduled grid paths share.
+    /// conversion the private reference and the scheduled grid share.
     ///
     /// # Panics
     ///
@@ -120,54 +123,6 @@ pub struct SessionBatch {
     pub cells: Vec<usize>,
 }
 
-impl SessionBatch {
-    /// Per-member overheads, in member order — member `i` is
-    /// byte-identical to `jobs[self.cells[i]].overhead(baselines)`.
-    ///
-    /// # Panics
-    ///
-    /// As [`SessionJob::overhead`].
-    pub fn overheads(&self, baselines: &BaselineCache) -> Vec<Option<f64>> {
-        self.overheads_of(self.task().run_to_completion().into_batch(), baselines)
-    }
-
-    /// The resumable form of this batch: a [`SessionTask`] whose output
-    /// [`SessionBatch::overheads_of`] converts exactly as
-    /// [`SessionBatch::overheads`] would.
-    pub fn task(&self) -> SessionTask {
-        SessionTask::batch(self.workload.app(), self.watchpoints.clone(), self.backend, &self.cpus)
-    }
-
-    /// Convert batch results into per-member overheads — shared by the
-    /// threaded and the scheduled grid paths.
-    ///
-    /// # Panics
-    ///
-    /// As [`SessionJob::overhead`].
-    pub fn overheads_of(
-        &self,
-        reports: Result<Vec<SessionReport>, DebugError>,
-        baselines: &BaselineCache,
-    ) -> Vec<Option<f64>> {
-        let base = baselines
-            .get_or_run(self.workload.name(), self.workload.app(), self.cpus[0])
-            .expect("kernel assembles");
-        match reports {
-            Ok(reports) => reports
-                .iter()
-                .map(|r| {
-                    assert_eq!(r.error, None, "{}: session must run clean", self.workload.name());
-                    Some(r.overhead_vs(&base))
-                })
-                .collect(),
-            Err(DebugError::Unsupported { .. } | DebugError::InvalidWatchpoint { .. }) => {
-                vec![None; self.cpus.len()]
-            }
-            Err(e) => panic!("{}: {e}", self.workload.name()),
-        }
-    }
-}
-
 /// One member of an [`ObserverGroup`]: an observing backend with its
 /// own watchpoint set, the effective timing configurations of its
 /// cells, and the original cell indices they scatter back to.
@@ -205,47 +160,22 @@ pub struct ObserverGroup {
 }
 
 impl ObserverGroup {
-    /// Per-cell overheads, tagged with their original cell index —
-    /// entry for cell `c` is byte-identical to
-    /// `jobs[c].overhead(baselines)`.
-    ///
-    /// # Panics
-    ///
-    /// As [`SessionJob::overhead`].
-    pub fn overheads(&self, baselines: &BaselineCache) -> Vec<(usize, Option<f64>)> {
-        self.overheads_of(self.task().run_to_completion().into_observe(), baselines)
-    }
-
-    /// The resumable form of this group: a [`SessionTask`] whose output
-    /// [`ObserverGroup::overheads_of`] converts exactly as
-    /// [`ObserverGroup::overheads`] would.
+    /// The resumable form of this group: one shared pass of the
+    /// unmodified application fanned out to every member.
     pub fn task(&self) -> SessionTask {
         SessionTask::observer(self.workload.app(), self.member_specs())
     }
 
-    /// [`ObserverGroup::overheads`] through the persistent trace store
-    /// at `trace` (`None` behaves exactly as [`ObserverGroup::overheads`]
-    /// — see [`trace_dir_from_env`]).
-    ///
-    /// # Panics
-    ///
-    /// As [`SessionJob::overhead`]; additionally, a stale or corrupt
-    /// stored trace fails the run loudly ([`DebugError::Trace`]) — it is
-    /// never silently re-recorded, because a trace that stops matching
-    /// its fingerprinted kernel means the store is being misused.
-    pub fn overheads_traced(
-        &self,
-        baselines: &BaselineCache,
-        trace: Option<&Path>,
-    ) -> Vec<(usize, Option<f64>)> {
-        self.overheads_of(self.task_traced(trace).run_to_completion().into_observe(), baselines)
-    }
-
-    /// The resumable form of [`ObserverGroup::overheads_traced`]: with a
-    /// trace directory, the group's shared pass is **replayed** from the
-    /// store when a trace for this kernel (keyed by name + program
-    /// fingerprint) already exists — zero functional passes — and
-    /// recorded into the store on miss, so the next run replays.
+    /// [`ObserverGroup::task`] through the persistent trace store at
+    /// `trace` (`None` is exactly [`ObserverGroup::task`] — see
+    /// [`trace_dir_from_env`]): the group's shared pass is **replayed**
+    /// from the store when a trace for this kernel (keyed by name +
+    /// program fingerprint) already exists — zero functional passes —
+    /// and recorded into the store on miss, so the next run replays. A
+    /// stale or corrupt stored trace fails the task loudly
+    /// ([`DebugError::Trace`]) — it is never silently re-recorded,
+    /// because a trace that stops matching its fingerprinted kernel
+    /// means the store is being misused.
     pub fn task_traced(&self, trace: Option<&Path>) -> SessionTask {
         let Some(path) = trace.and_then(|dir| self.trace_path(dir)) else {
             return self.task();
@@ -273,47 +203,6 @@ impl ObserverGroup {
 
     fn member_specs(&self) -> Vec<(BackendKind, Vec<Watchpoint>, Vec<CpuConfig>)> {
         self.members.iter().map(|m| (m.backend, m.watchpoints.clone(), m.cpus.clone())).collect()
-    }
-
-    /// Convert shared-pass results into per-cell overheads — shared by
-    /// the threaded and the scheduled grid paths.
-    ///
-    /// # Panics
-    ///
-    /// As [`SessionJob::overhead`].
-    pub fn overheads_of(
-        &self,
-        results: Result<Vec<Result<Vec<SessionReport>, DebugError>>, DebugError>,
-        baselines: &BaselineCache,
-    ) -> Vec<(usize, Option<f64>)> {
-        let base = baselines
-            .get_or_run(self.workload.name(), self.workload.app(), self.members[0].cpus[0])
-            .expect("kernel assembles");
-        // The outer error is an assembly failure; watchpoint problems
-        // (ill-formed, unsupported) come back per member below, exactly
-        // as when each cell runs alone.
-        let results = results.unwrap_or_else(|e| panic!("{}: {e}", self.workload.name()));
-        let mut out = Vec::new();
-        for (m, result) in self.members.iter().zip(results) {
-            match result {
-                Ok(reports) => {
-                    for (&cell, r) in m.cells.iter().zip(&reports) {
-                        assert_eq!(
-                            r.error,
-                            None,
-                            "{}: session must run clean",
-                            self.workload.name()
-                        );
-                        out.push((cell, Some(r.overhead_vs(&base))));
-                    }
-                }
-                Err(DebugError::Unsupported { .. } | DebugError::InvalidWatchpoint { .. }) => {
-                    out.extend(m.cells.iter().map(|&c| (c, None)));
-                }
-                Err(e) => panic!("{}: {e}", self.workload.name()),
-            }
-        }
-        out
     }
 }
 
@@ -349,80 +238,6 @@ pub struct PerturbGroup {
     pub batches: Vec<PerturbSubBatch>,
 }
 
-impl PerturbGroup {
-    /// Per-cell overheads, tagged with their original cell index —
-    /// entry for cell `c` is byte-identical to
-    /// `jobs[c].overhead(baselines)`.
-    ///
-    /// # Panics
-    ///
-    /// As [`SessionJob::overhead`].
-    pub fn overheads(&self, baselines: &BaselineCache) -> Vec<(usize, Option<f64>)> {
-        self.overheads_of(self.task().run_to_completion().into_group(), baselines)
-    }
-
-    /// The resumable form of this group: a [`SessionTask`] whose output
-    /// [`PerturbGroup::overheads_of`] converts exactly as
-    /// [`PerturbGroup::overheads`] would.
-    pub fn task(&self) -> SessionTask {
-        let cpus: Vec<Vec<CpuConfig>> = self.batches.iter().map(|b| b.cpus.clone()).collect();
-        SessionTask::perturbing_group(
-            self.workload.app(),
-            self.watchpoints.clone(),
-            self.backend,
-            &cpus,
-        )
-    }
-
-    /// Convert group results into per-cell overheads — shared by the
-    /// threaded and the scheduled grid paths.
-    ///
-    /// # Panics
-    ///
-    /// As [`SessionJob::overhead`].
-    pub fn overheads_of(
-        &self,
-        grouped: Result<Vec<Result<Vec<SessionReport>, DebugError>>, DebugError>,
-        baselines: &BaselineCache,
-    ) -> Vec<(usize, Option<f64>)> {
-        let base = baselines
-            .get_or_run(self.workload.name(), self.workload.app(), self.batches[0].cpus[0])
-            .expect("kernel assembles");
-        let per_batch = match grouped {
-            Ok(per_batch) => per_batch,
-            Err(DebugError::Unsupported { .. } | DebugError::InvalidWatchpoint { .. }) => {
-                return self
-                    .batches
-                    .iter()
-                    .flat_map(|b| b.cells.iter().map(|&c| (c, None)))
-                    .collect();
-            }
-            Err(e) => panic!("{}: {e}", self.workload.name()),
-        };
-        let mut out = Vec::new();
-        for (b, result) in self.batches.iter().zip(per_batch) {
-            match result {
-                Ok(reports) => {
-                    for (&cell, r) in b.cells.iter().zip(&reports) {
-                        assert_eq!(
-                            r.error,
-                            None,
-                            "{}: session must run clean",
-                            self.workload.name()
-                        );
-                        out.push((cell, Some(r.overhead_vs(&base))));
-                    }
-                }
-                Err(DebugError::Unsupported { .. } | DebugError::InvalidWatchpoint { .. }) => {
-                    out.extend(b.cells.iter().map(|&c| (c, None)));
-                }
-                Err(e) => panic!("{}: {e}", self.workload.name()),
-            }
-        }
-        out
-    }
-}
-
 /// A grid group sharing functional work: a single perturbing backend
 /// replayed under many timing configurations ([`SessionBatch`]), many
 /// observing backends fanned off one pass of the unmodified application
@@ -440,51 +255,29 @@ pub enum CellGroup {
 }
 
 impl CellGroup {
-    /// Per-cell overheads tagged with original cell indices.
-    ///
-    /// # Panics
-    ///
-    /// As [`SessionJob::overhead`].
-    pub fn overheads(&self, baselines: &BaselineCache) -> Vec<(usize, Option<f64>)> {
-        match self {
-            CellGroup::Replay(b) => b.cells.iter().copied().zip(b.overheads(baselines)).collect(),
-            CellGroup::Observe(g) => g.overheads(baselines),
-            CellGroup::Fork(g) => g.overheads(baselines),
-        }
-    }
-
-    /// The resumable form of this group — the unit the scheduled grid
-    /// spawns.
+    /// The resumable form of this group — the unit the grid spawns.
     pub fn task(&self) -> SessionTask {
         match self {
-            CellGroup::Replay(b) => b.task(),
+            CellGroup::Replay(b) => {
+                SessionTask::batch(b.workload.app(), b.watchpoints.clone(), b.backend, &b.cpus)
+            }
             CellGroup::Observe(g) => g.task(),
-            CellGroup::Fork(g) => g.task(),
+            CellGroup::Fork(g) => {
+                let cpus: Vec<Vec<CpuConfig>> = g.batches.iter().map(|b| b.cpus.clone()).collect();
+                SessionTask::perturbing_group(
+                    g.workload.app(),
+                    g.watchpoints.clone(),
+                    g.backend,
+                    &cpus,
+                )
+            }
         }
     }
 
-    /// [`CellGroup::overheads`] through the persistent trace store:
-    /// observer groups record on miss and replay on hit (see
-    /// [`ObserverGroup::overheads_traced`]); perturbing groups change
+    /// [`CellGroup::task`] through the persistent trace store — what
+    /// the grid spawns: observer groups record on miss and replay on hit
+    /// (see [`ObserverGroup::task_traced`]); perturbing groups change
     /// the functional stream and always execute, trace or no trace.
-    ///
-    /// # Panics
-    ///
-    /// As [`CellGroup::overheads`], and loudly on a stale or corrupt
-    /// stored trace.
-    pub fn overheads_traced(
-        &self,
-        baselines: &BaselineCache,
-        trace: Option<&Path>,
-    ) -> Vec<(usize, Option<f64>)> {
-        match self {
-            CellGroup::Observe(g) => g.overheads_traced(baselines, trace),
-            CellGroup::Replay(_) | CellGroup::Fork(_) => self.overheads(baselines),
-        }
-    }
-
-    /// The resumable form of [`CellGroup::overheads_traced`] — what the
-    /// scheduled grid spawns when a trace store is configured.
     pub fn task_traced(&self, trace: Option<&Path>) -> SessionTask {
         match self {
             CellGroup::Observe(g) => g.task_traced(trace),
@@ -493,7 +286,8 @@ impl CellGroup {
     }
 
     /// Scatter a drained [`SessionTask`] output back to per-cell
-    /// overheads, byte-identical to [`CellGroup::overheads`].
+    /// overheads tagged with original cell indices — the entry for cell
+    /// `c` is byte-identical to `jobs[c].overhead(baselines)`.
     ///
     /// # Panics
     ///
@@ -505,16 +299,48 @@ impl CellGroup {
         output: TaskOutput,
         baselines: &BaselineCache,
     ) -> Vec<(usize, Option<f64>)> {
-        match self {
-            CellGroup::Replay(b) => b
-                .cells
-                .iter()
-                .copied()
-                .zip(b.overheads_of(output.into_batch(), baselines))
-                .collect(),
-            CellGroup::Observe(g) => g.overheads_of(output.into_observe(), baselines),
-            CellGroup::Fork(g) => g.overheads_of(output.into_group(), baselines),
+        // One (cells, reports) part per functional stream.
+        type Part<'a> = (&'a [usize], Result<Vec<SessionReport>, DebugError>);
+        let (workload, cpu, parts): (&Workload, CpuConfig, Vec<Part<'_>>) = match self {
+            CellGroup::Replay(b) => (&b.workload, b.cpus[0], vec![(&b.cells, output.into_batch())]),
+            CellGroup::Observe(g) => {
+                // The outer error is an assembly failure; watchpoint
+                // problems (ill-formed, unsupported) come back per
+                // member, exactly as when each cell runs alone.
+                let results =
+                    output.into_observe().unwrap_or_else(|e| panic!("{}: {e}", g.workload.name()));
+                let cells = g.members.iter().map(|m| &m.cells[..]);
+                (&g.workload, g.members[0].cpus[0], cells.zip(results).collect())
+            }
+            CellGroup::Fork(g) => {
+                let cells = g.batches.iter().map(|b| &b.cells[..]);
+                let parts = match output.into_group() {
+                    Ok(per_batch) => cells.zip(per_batch).collect(),
+                    // A group-wide error (no sub-batch could run) is
+                    // every sub-batch's error.
+                    Err(e) => cells.map(|c| (c, Err(e.clone()))).collect(),
+                };
+                (&g.workload, g.batches[0].cpus[0], parts)
+            }
+        };
+        let base =
+            baselines.get_or_run(workload.name(), workload.app(), cpu).expect("kernel assembles");
+        let mut out = Vec::new();
+        for (cells, result) in parts {
+            match result {
+                Ok(reports) => {
+                    for (&cell, r) in cells.iter().zip(&reports) {
+                        assert_eq!(r.error, None, "{}: session must run clean", workload.name());
+                        out.push((cell, Some(r.overhead_vs(&base))));
+                    }
+                }
+                Err(DebugError::Unsupported { .. } | DebugError::InvalidWatchpoint { .. }) => {
+                    out.extend(cells.iter().map(|&c| (c, None)));
+                }
+                Err(e) => panic!("{}: {e}", workload.name()),
+            }
         }
+        out
     }
 
     /// Original cell indices covered by this group.
@@ -551,27 +377,11 @@ impl CellGroup {
 /// only at the jobs, so the partition — and with it the reassembled
 /// output — is identical for any worker count.
 ///
-/// Perturbing cells group according to the `DISE_COW_FORK` environment
-/// knob (default on — see [`cow_fork_from_env`]): on, engine-divergent
-/// cells of one (kernel, watchpoints, backend) merge into a
-/// [`PerturbGroup`] and fork from one loaded image; off, each engine
-/// configuration loads its own image in a [`SessionBatch`], the
-/// pre-fork shape (the determinism suite pins both shapes
-/// byte-identical).
+/// Engine-divergent perturbing cells of one (kernel, watchpoints,
+/// backend) merge into a [`PerturbGroup`] and fork from one loaded
+/// image — [`batch_session_jobs_with`]`(jobs, true)`.
 pub fn batch_session_jobs(jobs: &[SessionJob]) -> Vec<CellGroup> {
-    batch_session_jobs_with(jobs, cow_fork_from_env())
-}
-
-/// Parse the `DISE_COW_FORK` knob: unset, empty, `1`, `true`, or `on`
-/// enable copy-on-write fork grouping for perturbing cells (the
-/// default); `0`, `false`, or `off` disable it.
-///
-/// # Panics
-///
-/// Panics on any other value — a typo must fail loudly, not silently
-/// change which economy the grid exercises ([`dise_env::env_flag`]).
-pub fn cow_fork_from_env() -> bool {
-    dise_env::env_flag("DISE_COW_FORK", true)
+    batch_session_jobs_with(jobs, true)
 }
 
 /// Parse the `DISE_TRACE_DIR` knob: the persistent trace-store
@@ -588,19 +398,6 @@ pub fn cow_fork_from_env() -> bool {
 /// Panics on a non-unicode value ([`dise_env::env_string`]).
 pub fn trace_dir_from_env() -> Option<PathBuf> {
     dise_env::env_string("DISE_TRACE_DIR").map(PathBuf::from)
-}
-
-/// Parse the `DISE_SCHED` knob: unset, empty, `1`, `true`, or `on`
-/// (the default) run the grid's jobs as [`SessionTask`] continuations
-/// on the cooperative [`Scheduler`]; `0`, `false`, or `off` keep the
-/// pre-scheduler thread-per-group pool. Both paths are byte-identical
-/// (the scheduler determinism suite pins them against each other).
-///
-/// # Panics
-///
-/// Panics on any other value ([`dise_env::env_flag`]).
-pub fn sched_from_env() -> bool {
-    dise_env::env_flag("DISE_SCHED", true)
 }
 
 /// Default scheduler slice budget (dynamic instructions per grant):
@@ -621,9 +418,10 @@ pub fn slice_from_env() -> u64 {
     env_number("DISE_SLICE", DEFAULT_SLICE)
 }
 
-/// [`batch_session_jobs`] with the copy-on-write fork knob passed
-/// explicitly instead of read from the environment, so tests can pin
-/// both partition shapes without racing the process-global environment.
+/// [`batch_session_jobs`] with the copy-on-write fork grouping chosen
+/// explicitly: `cow_fork: false` keeps each engine configuration in its
+/// own [`SessionBatch`] loading its own image — the unforked partition
+/// the tests pin the forked one against, byte for byte.
 pub fn batch_session_jobs_with(jobs: &[SessionJob], cow_fork: bool) -> Vec<CellGroup> {
     let mut groups: Vec<CellGroup> = Vec::new();
     for (i, job) in jobs.iter().enumerate() {
@@ -723,34 +521,43 @@ pub fn batch_session_jobs_with(jobs: &[SessionJob], cow_fork: bool) -> Vec<CellG
     groups
 }
 
-/// Run a whole overhead grid on `workers` threads, grouping cells into
-/// single functional passes wherever the lattice allows — across timing
-/// configurations for perturbing backends, and across backend × timing
-/// simultaneously for observing ones (`batching: false` runs every cell
-/// independently — the reference path the determinism suite compares
-/// against). Results come back in cell order either way, byte-identical
-/// to the serial unbatched map.
+/// Run a whole overhead grid on `workers` scheduler threads, grouping
+/// cells into single functional passes wherever the lattice allows —
+/// across timing configurations for perturbing backends, and across
+/// backend × timing simultaneously for observing ones (`batching:
+/// false` runs every cell independently — the reference path the
+/// determinism suite compares against). The slice budget comes from
+/// `DISE_SLICE` and the trace store from `DISE_TRACE_DIR`. Results come
+/// back in cell order either way, byte-identical to the serial
+/// unbatched map.
 pub fn run_overhead_grid(
     cells: &[SessionJob],
     workers: usize,
     baselines: &BaselineCache,
     batching: bool,
 ) -> Vec<Option<f64>> {
-    let sched = sched_from_env().then(slice_from_env);
     let trace = trace_dir_from_env();
-    run_overhead_grid_with(cells, workers, baselines, batching, sched, trace.as_deref())
+    run_overhead_grid_with(
+        cells,
+        workers,
+        baselines,
+        batching,
+        Some(slice_from_env()),
+        trace.as_deref(),
+    )
 }
 
 /// [`run_overhead_grid`] with the scheduler and trace-store knobs
-/// passed explicitly: `sched: None` uses the pre-scheduler
-/// thread-per-group pool, `Some(slice)` multiplexes the grid's jobs as
-/// [`SessionTask`] continuations over `workers` scheduler threads with
-/// the given per-grant instruction budget; `trace: Some(dir)` routes
-/// every observer group through the persistent trace store at `dir`
-/// (record on miss, replay on hit — see [`trace_dir_from_env`]).
-/// Output is byte-identical for every combination — the determinism
-/// suite pins cold-vs-warm store runs against the traceless reference
-/// across both scheduler paths.
+/// passed explicitly: the grid's groups (or bare cells when batching is
+/// off) run as [`SessionTask`] continuations on one [`Scheduler`]
+/// drained by `workers` threads, granted `sched: Some(slice)`
+/// instructions per slice, or one unsliced grant per task with
+/// `sched: None`; `trace: Some(dir)` routes every observer group
+/// through the persistent trace store at `dir` (record on miss, replay
+/// on hit — see [`trace_dir_from_env`]). Output is byte-identical for
+/// every combination — the determinism suite pins cold-vs-warm store
+/// runs against the traceless reference across slice budgets and
+/// worker counts.
 pub fn run_overhead_grid_with(
     cells: &[SessionJob],
     workers: usize,
@@ -759,27 +566,12 @@ pub fn run_overhead_grid_with(
     sched: Option<u64>,
     trace: Option<&Path>,
 ) -> Vec<Option<f64>> {
-    let Some(slice) = sched else {
-        if !batching {
-            return run_grid_with(cells, workers, |job| job.overhead(baselines));
-        }
-        let groups = batch_session_jobs(cells);
-        let grouped = run_grid_with(&groups, workers, |g| g.overheads_traced(baselines, trace));
-        let mut out = vec![None; cells.len()];
-        for tagged in grouped {
-            for (cell, o) in tagged {
-                out[cell] = o;
-            }
-        }
-        return out;
-    };
-    // The scheduled path: every group (or bare cell when batching is
-    // off) becomes one continuation; task ids are spawn order, so the
-    // drained outputs scatter back deterministically regardless of
-    // worker count, slice budget, or completion order.
+    // Task ids are spawn order, so the drained outputs scatter back
+    // deterministically regardless of worker count, slice budget, or
+    // completion order.
+    let scheduler = Scheduler::new(sched.unwrap_or(u64::MAX));
     let mut out = vec![None; cells.len()];
     if !batching {
-        let scheduler = Scheduler::new(slice);
         for job in cells {
             scheduler.spawn(job.task());
         }
@@ -793,7 +585,6 @@ pub fn run_overhead_grid_with(
         }
     } else {
         let groups = batch_session_jobs(cells);
-        let scheduler = Scheduler::new(slice);
         for group in &groups {
             scheduler.spawn(group.task_traced(trace));
         }
@@ -804,21 +595,6 @@ pub fn run_overhead_grid_with(
         }
     }
     out
-}
-
-/// Parse a numeric environment knob (`DISE_ITERS`, `DISE_JOBS`, …),
-/// `default` when unset — the loud-on-typo contract, shared with every
-/// crate through [`dise_env::env_number`] (re-exported here because the
-/// bench harness is where most knobs are read).
-///
-/// # Panics
-///
-/// Panics on an unparsable (or non-unicode) value.
-pub fn env_number<T: std::str::FromStr>(name: &str, default: T) -> T
-where
-    T::Err: std::fmt::Display,
-{
-    dise_env::env_number(name, default)
 }
 
 /// Worker-pool size from the `DISE_JOBS` environment variable, or the
@@ -905,7 +681,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dise_debug::DiseStrategy;
+    use dise_debug::{DiseStrategy, Step};
     use dise_workloads::{all, transition_cost_sweep, WatchKind};
 
     #[test]
@@ -1175,7 +951,7 @@ mod tests {
         let scatter = |groups: Vec<CellGroup>, baselines: &BaselineCache| {
             let mut out = vec![None; jobs.len()];
             for g in &groups {
-                for (cell, o) in g.overheads(baselines) {
+                for (cell, o) in g.overheads_from(g.task().run_to_completion(), baselines) {
                     out[cell] = o;
                 }
             }
@@ -1190,25 +966,54 @@ mod tests {
         assert_eq!(unbatched[8], None, "unsupported cell renders the no-experiment bar");
     }
 
-    // Each env test owns a uniquely named variable: the process
-    // environment is shared across test threads, so reusing names would
-    // race.
+    /// An observer recording abandoned partway publishes nothing, and
+    /// the next traced task for that kernel therefore records — a
+    /// replay would fail to open the missing trace — rather than
+    /// replaying a partial stream.
     #[test]
-    fn env_number_parses_and_defaults() {
-        assert_eq!(env_number("DISE_TEST_UNSET_KNOB", 42u32), 42);
-        std::env::set_var("DISE_TEST_SET_KNOB", "17");
-        assert_eq!(env_number("DISE_TEST_SET_KNOB", 42u32), 17);
-        std::env::set_var("DISE_TEST_PADDED_KNOB", " 8 ");
-        assert_eq!(env_number("DISE_TEST_PADDED_KNOB", 1usize), 8, "whitespace is trimmed");
-    }
+    fn abandoned_recording_publishes_nothing_and_the_next_run_records() {
+        let w = &all(10)[0];
+        let jobs: Vec<SessionJob> = [BackendKind::VirtualMemory, BackendKind::hw4()]
+            .into_iter()
+            .map(|b| {
+                SessionJob::new(
+                    w.clone(),
+                    vec![w.watchpoint(WatchKind::Warm1)],
+                    b,
+                    CpuConfig::default(),
+                )
+            })
+            .collect();
+        let groups = batch_session_jobs(&jobs);
+        let [CellGroup::Observe(group)] = groups.as_slice() else {
+            panic!("observing cells share one group: {groups:#?}")
+        };
+        let dir =
+            std::env::temp_dir().join(format!("dise-abandoned-recording-{}", std::process::id()));
+        let path = group.trace_path(&dir).expect("kernel assembles");
 
-    #[test]
-    fn env_number_typo_fails_loudly() {
-        std::env::set_var("DISE_TEST_TYPO_KNOB", "4O0"); // letter O
-        let err = catch_unwind(|| env_number("DISE_TEST_TYPO_KNOB", 400u32)).unwrap_err();
-        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-        assert!(msg.contains("DISE_TEST_TYPO_KNOB"), "panic names the knob: {msg}");
-        assert!(msg.contains("4O0"), "panic shows the bad value: {msg}");
+        let members = group
+            .members
+            .iter()
+            .map(|m| (m.backend, m.watchpoints.clone(), m.cpus.clone()))
+            .collect();
+        let mut task = SessionTask::observer_recorded(w.app(), members, &path);
+        assert!(matches!(task.poll(1_000), Step::Yielded(_)), "abandoned mid-recording");
+        drop(task);
+        assert!(!path.exists(), "an abandoned recording publishes no trace");
+        let leftovers = std::fs::read_dir(&dir).expect("store exists").count();
+        assert_eq!(leftovers, 0, "nor any staged partial file");
+
+        let baselines = BaselineCache::new();
+        let run =
+            |task: SessionTask| groups[0].overheads_from(task.run_to_completion(), &baselines);
+        let reference = run(group.task());
+        let recorded = run(group.task_traced(Some(&dir)));
+        assert_eq!(recorded, reference, "the next traced run records the whole pass");
+        assert!(path.exists(), "and publishes it on completion");
+        let replayed = run(group.task_traced(Some(&dir)));
+        assert_eq!(replayed, reference, "which the run after replays");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

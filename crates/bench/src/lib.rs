@@ -13,35 +13,31 @@
 //! the crossovers fall — is what these harnesses reproduce.
 //!
 //! Execution: each table/figure is decomposed into independent
-//! [`SessionJob`] grid cells and run on a [`grid`] worker pool sized by
-//! the `DISE_JOBS` environment variable (default: available
+//! [`SessionJob`] grid cells, grouped into single-functional-pass
+//! [`CellGroup`]s, and run on the cooperative [`dise_debug::Scheduler`]
+//! drained by `DISE_JOBS` worker threads (default: available
 //! parallelism), with results reassembled in cell order so output is
-//! byte-identical for any worker count. Cells are first grouped into
-//! single-functional-pass [`CellGroup`]s: a [`SessionBatch`] when they
-//! differ only in timing configuration
-//! ([`dise_debug::run_session_batch`]), or an [`ObserverGroup`] when
-//! their backends all *observe* without perturbing execution — one
-//! shared pass of the unmodified application across backend × timing
-//! simultaneously ([`dise_debug::ObserverBatch`]). Perturbing cells
-//! that differ in DISE engine capacities can never share a pass, but
-//! they can share an *image*: by default (`DISE_COW_FORK`, see
-//! [`grid::cow_fork_from_env`]) they merge into a [`PerturbGroup`]
-//! whose sub-batches all fork copy-on-write from one loaded template
+//! byte-identical for any worker count. A group is a [`SessionBatch`]
+//! when its cells differ only in timing configuration
+//! ([`dise_debug::run_session_batch`]), an [`ObserverGroup`] when their
+//! backends all *observe* without perturbing execution — one shared
+//! pass of the unmodified application across backend × timing
+//! simultaneously ([`dise_debug::ObserverBatch`]) — or a
+//! [`PerturbGroup`] when perturbing cells differ in DISE engine
+//! capacities: they can never share a pass, but they share an *image*,
+//! every sub-batch forking copy-on-write from one loaded template
 //! machine ([`dise_debug::run_perturbing_group`]) — K engine
 //! configurations cost 1 image load + K forks instead of K loads. All
 //! of these are byte-identical to the unbatched path, enforced by the
 //! grid determinism tests, and the pass/load savings are pinned by
 //! execution-count assertions (`tests/execution_counts.rs`).
 //!
-//! By default (`DISE_SCHED`, see [`grid::sched_from_env`]) the worker
-//! pool no longer pins one group to one thread: every group becomes a
-//! resumable [`dise_debug::SessionTask`] and `DISE_JOBS` threads drain
-//! one cooperative [`dise_debug::Scheduler`], each session granted
-//! `DISE_SLICE`-instruction slices with least-progress-first priority.
-//! Output stays byte-identical across `DISE_SCHED=0/1`, every worker
-//! count and every slice budget (`tests/scheduler.rs`), and the
-//! [`server`] module serves arbitrary job lists through the same
-//! machinery (`session_server` bin).
+//! Every group is a resumable [`dise_debug::SessionTask`], granted
+//! `DISE_SLICE`-instruction slices with least-progress-first priority,
+//! so the worker pool never pins one group to one thread. Output stays
+//! byte-identical across every worker count and every slice budget
+//! (`tests/scheduler.rs`), and the [`server`] module serves arbitrary
+//! job lists through the same machinery (`session_server` bin).
 
 mod experiments;
 pub mod grid;
@@ -53,10 +49,10 @@ pub use experiments::{
     watchpoint_sets, Experiment,
 };
 pub use grid::{
-    batch_session_jobs, batch_session_jobs_with, configured_workers, cow_fork_from_env, env_number,
-    run_grid, run_grid_with, run_overhead_grid, run_overhead_grid_with, sched_from_env,
-    slice_from_env, trace_dir_from_env, CellGroup, ObserverGroup, ObserverMember, PerturbGroup,
-    PerturbSubBatch, SessionBatch, SessionJob, DEFAULT_SLICE,
+    batch_session_jobs, batch_session_jobs_with, configured_workers, run_grid, run_grid_with,
+    run_overhead_grid, run_overhead_grid_with, slice_from_env, trace_dir_from_env, CellGroup,
+    ObserverGroup, ObserverMember, PerturbGroup, PerturbSubBatch, SessionBatch, SessionJob,
+    DEFAULT_SLICE,
 };
 
 /// Render one figure/table section with a heading.

@@ -187,8 +187,7 @@ fn grids_execute_once_per_functional_stream_not_once_per_cell() {
     // DISE engine capacities (x 2 timing configs each) can never share
     // a functional stream — every sub-batch rightly pays its own pass —
     // but it can share its *image*. The partition shape is passed
-    // explicitly so the pins hold regardless of the `DISE_COW_FORK`
-    // environment (CI sweeps both settings over this binary).
+    // explicitly so both shapes are pinned in one process.
     let engines = [(32usize, 256usize), (16, 128), (8, 64)].map(|(p, r)| CpuConfig {
         engine: dise_engine::EngineConfig { pattern_entries: p, replacement_entries: r },
         ..CpuConfig::default()
@@ -208,7 +207,7 @@ fn grids_execute_once_per_functional_stream_not_once_per_cell() {
     let overheads_via = |groups: &[CellGroup]| {
         let mut out = vec![None; fork_cells.len()];
         for g in groups {
-            for (cell, o) in g.overheads(&baselines) {
+            for (cell, o) in g.overheads_from(g.task().run_to_completion(), &baselines) {
                 out[cell] = o;
             }
         }
@@ -237,7 +236,7 @@ fn grids_execute_once_per_functional_stream_not_once_per_cell() {
     // recorded as it executes (still exactly one pass, one load, plus
     // one trace record); warm, the grid performs **zero** functional
     // passes and zero image loads — the stream comes from the file —
-    // and renders byte-identical output, under both grid paths.
+    // and renders byte-identical output, unsliced and sliced alike.
     let dir = std::env::temp_dir().join(format!("dise-exec-counts-{}", std::process::id()));
     let (p0, l0, r0, y0) = (functional_passes(), image_loads(), trace_records(), trace_replays());
     let cold = run_overhead_grid_with(&observer_cells, 1, &baselines, true, None, Some(&dir));

@@ -122,8 +122,7 @@ fn all_experiments_are_batching_invariant() {
 /// capacities renders byte-identical overheads with fork grouping on
 /// and off, under a serial and a pooled worker count alike. The
 /// partition shape is passed explicitly so both shapes are exercised in
-/// one process regardless of the `DISE_COW_FORK` environment (which CI
-/// additionally sweeps over the whole suite).
+/// one process.
 #[test]
 fn forked_and_unforked_grids_are_byte_identical_across_worker_counts() {
     let workloads = all(10);
@@ -150,7 +149,9 @@ fn forked_and_unforked_grids_are_byte_identical_across_worker_counts() {
     let render = |cow_fork: bool, workers: usize| -> Vec<Option<f64>> {
         let baselines = BaselineCache::new();
         let groups = batch_session_jobs_with(&jobs, cow_fork);
-        let grouped = run_grid_with(&groups, workers, |g: &CellGroup| g.overheads(&baselines));
+        let grouped = run_grid_with(&groups, workers, |g: &CellGroup| {
+            g.overheads_from(g.task().run_to_completion(), &baselines)
+        });
         let mut out = vec![None; jobs.len()];
         for tagged in grouped {
             for (cell, o) in tagged {
@@ -173,11 +174,10 @@ fn forked_and_unforked_grids_are_byte_identical_across_worker_counts() {
 /// (observer groups *record* their shared passes into the store) and
 /// then warm (the same groups *replay* from the store, executing zero
 /// functional passes) renders byte-identical overheads — against the
-/// traceless reference, across both scheduler paths (thread-per-group
-/// and cooperative, at two slice budgets) and across worker counts 1
-/// and 4, the DISE_SCHED × DISE_JOBS matrix CI sweeps. The knobs are
-/// passed explicitly so one process pins every combination without
-/// racing the environment.
+/// traceless reference, across slice budgets (unsliced grants and two
+/// slice sizes) and across worker counts 1 and 4. The knobs are passed
+/// explicitly so one process pins every combination without racing
+/// the environment.
 #[test]
 fn traced_grids_are_byte_identical_cold_and_warm() {
     let workloads = all(10);

@@ -57,9 +57,10 @@ fn lcg_budgets(seed: u64, n: usize) -> Vec<u64> {
         .collect()
 }
 
-/// The acceptance bar: the grid is byte-identical with the scheduler
-/// off (`DISE_SCHED=0`'s path) and on, under serial and pooled workers,
-/// batched and unbatched, for random slice budgets and the default.
+/// The acceptance bar: the grid is byte-identical with unsliced grants
+/// (`sched: None`, one `u64::MAX` grant per task) and sliced ones,
+/// under serial and pooled workers, batched and unbatched, for random
+/// slice budgets and the default.
 #[test]
 fn grid_is_identical_with_and_without_the_scheduler() {
     let cells = mixed_cells(5);
@@ -73,7 +74,7 @@ fn grid_is_identical_with_and_without_the_scheduler() {
             let legacy = run_overhead_grid_with(&cells, workers, &baselines, batching, None, None);
             assert_eq!(
                 reference, legacy,
-                "pre-scheduler grid must not depend on workers (batching={batching})"
+                "unsliced grid must not depend on workers (batching={batching})"
             );
             for &slice in &budgets {
                 let sched = run_overhead_grid_with(

@@ -37,8 +37,10 @@
 //! [`crate::functional_passes`]-style instrumentation: wins are argued
 //! with counters and determinism tests, not wall-clock.
 
+use std::any::Any;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 
@@ -129,6 +131,9 @@ struct Inner {
     in_flight: usize,
     slice_no: u64,
     stats: SchedStats,
+    /// The first panic raised by a polled task: every worker stops, and
+    /// the drain re-raises it on the caller's thread.
+    panic: Option<Box<dyn Any + Send>>,
 }
 
 /// A cooperative scheduler over [`SessionTask`] continuations. See the
@@ -160,6 +165,7 @@ impl Scheduler {
                 in_flight: 0,
                 slice_no: 0,
                 stats: SchedStats::default(),
+                panic: None,
             }),
             wake: Condvar::new(),
         }
@@ -245,10 +251,11 @@ impl Scheduler {
     ///
     /// # Panics
     ///
-    /// Panics when `workers == 0`, when a worker panics (propagated),
-    /// or when the queue stalls — tasks remain but every one of them is
-    /// parked with no runner left to unblock them (an unbreakable
-    /// deadlock, e.g. a gate nothing ever opens).
+    /// Panics when `workers == 0`, when a task panics (re-raised on the
+    /// caller once every worker has stopped), or when the queue stalls —
+    /// tasks remain but every one of them is parked with no runner left
+    /// to unblock them (an unbreakable deadlock, e.g. a gate nothing
+    /// ever opens).
     pub fn drain(&self, workers: usize) -> Vec<(usize, TaskOutput)> {
         self.drain_with(workers, |_, _| {})
     }
@@ -272,6 +279,10 @@ impl Scheduler {
             });
         }
         let mut inner = self.lock();
+        if let Some(cause) = inner.panic.take() {
+            drop(inner);
+            resume_unwind(cause);
+        }
         let mut out = Vec::new();
         for (id, slot) in inner.slots.iter_mut().enumerate() {
             if let Some(output) = slot.output.take() {
@@ -292,7 +303,7 @@ impl Scheduler {
             let (id, mut task) = {
                 let mut inner = self.lock();
                 loop {
-                    if inner.outstanding == 0 {
+                    if inner.outstanding == 0 || inner.panic.is_some() {
                         drop(inner);
                         self.wake.notify_all();
                         return;
@@ -318,7 +329,17 @@ impl Scheduler {
                     inner = self.wake.wait(inner).expect("scheduler poisoned");
                 }
             };
-            let step = task.poll(self.slice);
+            let step = match catch_unwind(AssertUnwindSafe(|| task.poll(self.slice))) {
+                Ok(step) => step,
+                Err(cause) => {
+                    let mut inner = self.lock();
+                    inner.checked_out -= 1;
+                    inner.panic.get_or_insert(cause);
+                    drop(inner);
+                    self.wake.notify_all();
+                    return;
+                }
+            };
             match step {
                 Step::Yielded(progress) => {
                     let mut inner = self.lock();
@@ -529,6 +550,34 @@ mod tests {
             .expect_err("stall must panic");
         let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
         assert!(msg.contains("scheduler stalled"), "{msg}");
+    }
+
+    /// A panicking task fails the drain loudly on every worker count —
+    /// the other workers stop instead of waiting forever for it.
+    #[test]
+    fn task_panics_propagate_from_the_drain() {
+        let a = app(4);
+        let addr = a.program().unwrap().symbol("watched").unwrap();
+        let wp = Watchpoint::new(WatchExpr::Scalar { addr, width: Width::Q });
+        let mut small = CpuConfig::default();
+        small.engine.replacement_entries = 64;
+        for workers in [1, 3] {
+            let sched = Scheduler::new(16);
+            sched.spawn(task(&app(50)));
+            // Engine-divergent configurations cannot share a pass: the
+            // task panics at admission.
+            sched.spawn(SessionTask::batch(
+                &a,
+                vec![wp],
+                BackendKind::dise_default(),
+                &[CpuConfig::default(), small],
+            ));
+            let err =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sched.drain(workers)))
+                    .expect_err("the task panic must reach the caller");
+            let msg = err.downcast_ref::<&str>().copied().unwrap_or_default();
+            assert!(msg.contains("agree on the functional"), "{workers} worker(s): {msg}");
+        }
     }
 
     /// Least-progress scheduling: a short session spawned behind a long

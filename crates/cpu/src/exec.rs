@@ -529,9 +529,8 @@ pub struct Executor {
     /// in at build time. Invalidated range-wise by overlapping stores
     /// and code patches, and flushed wholesale by [`Executor::mem_mut`]
     /// and [`Executor::engine_mut`] (production changes alter what a
-    /// block would fuse). The `DISE_BLOCK_CACHE` environment knob (or
-    /// [`Executor::set_block_cache`]) ablates it; the `Exec` stream is
-    /// byte-identical either way.
+    /// block would fuse). On by default; [`Executor::set_block_cache`]
+    /// ablates it, and the `Exec` stream is byte-identical either way.
     block_cache: bool,
     /// Block arena: live blocks in `Some` slots, invalidated slots
     /// recycled through `free_blocks`. An arena rather than a map so
@@ -574,7 +573,7 @@ impl Executor {
             decoded: vec![None; DECODED_SLOTS],
             decode_hits: 0,
             decode_misses: 0,
-            block_cache: block_cache_from_env(),
+            block_cache: true,
             blocks: Vec::new(),
             block_index: PcMap::default(),
             free_blocks: Vec::new(),
@@ -689,15 +688,15 @@ impl Executor {
         self.block_stats
     }
 
-    /// Whether the block-level decoded-trace cache is enabled (the
-    /// `DISE_BLOCK_CACHE` environment knob, default on).
+    /// Whether the block-level decoded-trace cache is enabled (default
+    /// on).
     pub fn block_cache_enabled(&self) -> bool {
         self.block_cache
     }
 
-    /// Enable/disable the block cache (the programmatic form of the
-    /// `DISE_BLOCK_CACHE` knob), dropping any cached blocks. The `Exec`
-    /// stream is byte-identical in either state; only the counters and
+    /// Enable/disable the block cache, dropping any cached blocks. The
+    /// `Exec` stream is byte-identical in either state (the reference
+    /// the block-cache tests compare against); only the counters and
     /// the work per step differ.
     pub fn set_block_cache(&mut self, enabled: bool) {
         self.block_cache = enabled;
@@ -1361,9 +1360,6 @@ impl Executor {
     }
 }
 
-/// The `DISE_BLOCK_CACHE` ablation knob: on by default, `0`/`false`/
-/// `off` disables the block-level decoded-trace cache. Anything else is
-/// a loud error, matching the repo's env-knob conventions.
 /// A frozen snapshot of a whole [`Executor`] — architectural state,
 /// memory (pages shared copy-on-write with the live machine), DISE
 /// engine, replacement context, and decode/block caches. Taking and
@@ -1384,10 +1380,6 @@ impl ExecutorCheckpoint {
     pub fn pc(&self) -> u64 {
         self.state.pc
     }
-}
-
-fn block_cache_from_env() -> bool {
-    dise_env::env_flag("DISE_BLOCK_CACHE", true)
 }
 
 #[inline]

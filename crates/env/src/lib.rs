@@ -1,12 +1,12 @@
 //! # dise-env — the one parser for every `DISE_*` environment knob
 //!
-//! Every crate in the workspace reads ablation and tuning knobs from
-//! the environment (`DISE_JOBS`, `DISE_ITERS`, `DISE_BLOCK_CACHE`,
-//! `DISE_COW_FORK`, `DISE_CHECKPOINTS`, `DISE_SCHED`, `DISE_SLICE`, …).
-//! The contract is uniform: **a typo must fail loudly**, never silently
-//! fall back to a default the user did not ask for — a mistyped
-//! `DISE_SCHED=ture` that quietly kept the scheduler on would
-//! invalidate an ablation without anyone noticing. This crate holds the
+//! The workspace reads its tuning knobs from the environment
+//! (`DISE_JOBS`, `DISE_ITERS`, `DISE_SLICE`, `DISE_TRACE_DIR`,
+//! `DISE_CHUNK`, `DISE_TIMING_SHARE`, …). The contract is uniform: **a
+//! typo must fail loudly**, never silently fall back to a default the
+//! user did not ask for — a mistyped `DISE_TIMING_SHARE=of` that
+//! quietly kept timing sharing on would invalidate an ablation without
+//! anyone noticing. This crate holds the
 //! parsers ([`env_number`], [`env_flag`], [`env_string`]) so `dise-cpu`,
 //! `dise-debug` and `dise-bench` cannot drift apart on that contract
 //! (and so the core crates need no dependency on the bench harness,
