@@ -1,15 +1,22 @@
 //! Chunked fan-out ablation: what slice-based observer dispatch with
 //! per-member store-interval prefilters buys over record-at-a-time
 //! fan-out. The observer batch runs a watch-sparse kernel — every store
-//! lands pages away from every watched cell — once per chunk size
-//! (`DISE_CHUNK=1` *is* the per-record fan-out: every record becomes a
+//! lands pages away from every watched cell — once per [`Fanout`]
+//! (`chunk: 1` *is* the per-record fan-out: every record becomes a
 //! singleton chunk), on both the live-execution and trace-replay paths,
 //! for each observing backend solo and for the 4-member batch. A middle
-//! row per configuration (chunked, `DISE_TIMING_SHARE=0`) splits the
-//! win between chunk dispatch/prefiltering and copy-on-write timing
-//! groups. Output is asserted byte-identical across chunk sizes and
-//! sharing modes before any throughput is reported, and the whole table
-//! is also emitted as machine-readable `BENCH_fanout.json`.
+//! row per configuration (chunked, private timing) splits the win
+//! between chunk dispatch/prefiltering and copy-on-write timing groups.
+//! The reps are interleaved round-robin across the three fan-outs and
+//! each is reported at its median wall time, so a burst of machine
+//! noise hits every configuration alike. Output is asserted
+//! byte-identical across chunk sizes and sharing modes before any
+//! throughput is reported, and the whole table is also emitted as
+//! machine-readable `BENCH_fanout.json`.
+//!
+//! Knobs: `DISE_ITERS` (kernel iterations, default 20000), `DISE_REPS`
+//! (reps per fan-out, default 5) and `DISE_CHUNK` (the chunked rows'
+//! chunk size, default 64).
 
 use std::path::Path;
 use std::time::Instant;
@@ -17,7 +24,7 @@ use std::time::Instant;
 use dise_asm::{parse_asm, Layout};
 use dise_cpu::CpuConfig;
 use dise_debug::{
-    fanout_chunks, fanout_chunks_scanned, fanout_chunks_skipped, Application, BackendKind,
+    fanout_chunks, fanout_chunks_scanned, fanout_chunks_skipped, Application, BackendKind, Fanout,
     ObserverBatch, SessionReport, WatchExpr, Watchpoint,
 };
 use dise_isa::Width;
@@ -31,7 +38,7 @@ type Member = (&'static str, BackendKind, u64);
 struct Sample {
     label: &'static str,
     mode: &'static str,
-    chunk: u64,
+    chunk: usize,
     share: bool,
     records_per_sec: f64,
     chunks: u64,
@@ -52,63 +59,71 @@ fn batch<'a>(app: &'a Application, members: &[Member]) -> ObserverBatch<'a> {
     b
 }
 
-/// Run `members` over `app` at the given chunk size, best-of-`reps`
-/// wall time, and return the throughput, chunk-counter deltas, and the
-/// reports (for the byte-identity assertion).
+/// The median of `times` (the upper one for an even count).
+fn median(times: &mut [f64]) -> f64 {
+    times.sort_by(f64::total_cmp);
+    times[times.len() / 2]
+}
+
+/// Run `members` over `app` under every fan-out in `fanouts`, `reps`
+/// times each with the reps interleaved round-robin across the
+/// fan-outs, and return one sample per fan-out: its median throughput,
+/// its chunk-counter deltas, and its reports (for the byte-identity
+/// assertion).
 #[allow(clippy::cast_precision_loss)]
-#[allow(clippy::too_many_arguments)]
 fn measure(
     label: &'static str,
     app: &Application,
     members: &[Member],
     records: u64,
-    chunk: u64,
-    share: bool,
+    fanouts: &[Fanout],
     trace: Option<&Path>,
     reps: u32,
-) -> Sample {
-    std::env::set_var("DISE_CHUNK", chunk.to_string());
-    std::env::set_var("DISE_TIMING_SHARE", if share { "1" } else { "0" });
+) -> Vec<Sample> {
     let mode = if trace.is_some() { "replay" } else { "live" };
-    let (c0, s0, k0) = (fanout_chunks(), fanout_chunks_scanned(), fanout_chunks_skipped());
-    let mut best = f64::INFINITY;
-    let mut reports = Vec::new();
-    for _ in 0..reps.max(1) {
-        let b = batch(app, members);
-        let t = Instant::now();
-        let out = match trace {
-            Some(path) => b.run_from_trace(path),
-            None => b.run(),
-        };
-        best = best.min(t.elapsed().as_secs_f64());
-        reports = out
-            .expect("ablation batch runs")
-            .into_iter()
-            .map(|r| r.expect("every member is observable"))
-            .collect();
+    let mut times = vec![Vec::new(); fanouts.len()];
+    let mut samples = Vec::new();
+    for rep in 0..reps.max(1) {
+        for (i, &fanout) in fanouts.iter().enumerate() {
+            let (c0, s0, k0) = (fanout_chunks(), fanout_chunks_scanned(), fanout_chunks_skipped());
+            let mut b = batch(app, members);
+            b.fanout(fanout);
+            let t = Instant::now();
+            let out = match trace {
+                Some(path) => b.run_from_trace(path),
+                None => b.run(),
+            };
+            times[i].push(t.elapsed().as_secs_f64());
+            let (chunks, scanned, skipped) =
+                (fanout_chunks() - c0, fanout_chunks_scanned() - s0, fanout_chunks_skipped() - k0);
+            assert_eq!(
+                scanned + skipped,
+                members.len() as u64 * chunks,
+                "{label}/{mode}: every (member, chunk) pair is scanned xor skipped"
+            );
+            if rep == 0 {
+                samples.push(Sample {
+                    label,
+                    mode,
+                    chunk: fanout.chunk,
+                    share: fanout.share_timing,
+                    records_per_sec: 0.0,
+                    chunks,
+                    skipped,
+                    scanned,
+                    reports: out
+                        .expect("ablation batch runs")
+                        .into_iter()
+                        .map(|r| r.expect("every member is observable"))
+                        .collect(),
+                });
+            }
+        }
     }
-    let reps = u64::from(reps.max(1));
-    let (chunks, scanned, skipped) = (
-        (fanout_chunks() - c0) / reps,
-        (fanout_chunks_scanned() - s0) / reps,
-        (fanout_chunks_skipped() - k0) / reps,
-    );
-    assert_eq!(
-        scanned + skipped,
-        members.len() as u64 * chunks,
-        "{label}/{mode}: every (member, chunk) pair is scanned xor skipped"
-    );
-    Sample {
-        label,
-        mode,
-        chunk,
-        share,
-        records_per_sec: records as f64 / best,
-        chunks,
-        skipped,
-        scanned,
-        reports,
+    for (s, t) in samples.iter_mut().zip(&mut times) {
+        s.records_per_sec = records as f64 / median(t);
     }
+    samples
 }
 
 fn json_row(s: &Sample) -> String {
@@ -123,8 +138,16 @@ fn json_row(s: &Sample) -> String {
 fn main() {
     let iters: u32 = dise_env::env_number("DISE_ITERS", 20_000);
     let reps: u32 = dise_env::env_number("DISE_REPS", 5);
-    let chunk: u64 = dise_env::env_number("DISE_CHUNK", 64);
+    let chunk: usize = dise_env::env_number("DISE_CHUNK", 64);
     assert!(chunk > 1, "the ablation compares DISE_CHUNK={chunk} against the per-record 1");
+    // The baseline is the pre-chunking fan-out: every record dispatched
+    // alone, every member consuming privately. The middle row isolates
+    // the dispatch/prefilter win from the shared-timing win.
+    let fanouts = [
+        Fanout { chunk: 1, share_timing: false },
+        Fanout { chunk, share_timing: false },
+        Fanout { chunk, share_timing: true },
+    ];
 
     // The watch-sparse kernel: a tight store loop hammering `hot`,
     // with every watched cell a page or more away — no store ever
@@ -193,13 +216,10 @@ fn main() {
     {
         let label = if members.len() == 4 { "batch4" } else { members[0].0 };
         for trace in [None, Some(trace.as_path())] {
-            // The baseline is the pre-chunking fan-out: every record
-            // dispatched alone, every member consuming privately. The
-            // middle row isolates the dispatch/prefilter win from the
-            // shared-timing win.
-            let per_record = measure(label, &app, members, records, 1, false, trace, reps);
-            let chunked_priv = measure(label, &app, members, records, chunk, false, trace, reps);
-            let chunked = measure(label, &app, members, records, chunk, true, trace, reps);
+            let measured = measure(label, &app, members, records, &fanouts, trace, reps);
+            let [per_record, chunked_priv, chunked] = &measured[..] else {
+                unreachable!("one sample per fan-out")
+            };
             assert_eq!(
                 chunked_priv.reports, per_record.reports,
                 "{label}: chunked fan-out must be byte-identical to per-record"
@@ -210,7 +230,7 @@ fn main() {
             );
             let speedup = chunked.records_per_sec / per_record.records_per_sec;
             let mode = chunked.mode;
-            for s in [per_record, chunked_priv, chunked] {
+            for s in measured {
                 println!(
                     "{:<22}{:>8}{:>7}{:>7}{:>13.2}{:>9}{:>9}{:>9}",
                     s.label,
@@ -231,16 +251,20 @@ fn main() {
     }
 
     println!(
-        "\n4-member batch, chunked shared-timing fan-out (DISE_CHUNK={chunk}) over \
-         per-record private-timing dispatch (DISE_CHUNK=1, DISE_TIMING_SHARE=0):"
+        "\n4-member batch, median records/sec of chunked shared-timing fan-out \
+         (chunk {chunk}) over per-record private-timing dispatch (chunk 1), {reps} \
+         interleaved reps:"
     );
     for (mode, speedup) in &speedups {
         println!("  {mode:<7} {speedup:.2}x records/sec");
     }
-    let best = speedups.iter().map(|&(_, s)| s).fold(0.0f64, f64::max);
+    // The floor applies to the better of the live and replay modes'
+    // median speedups.
+    let top = speedups.iter().map(|&(_, s)| s).fold(0.0f64, f64::max);
     assert!(
-        best >= 2.0,
-        "acceptance bar: >=2x records/sec on the watch-sparse 4-member batch, got {best:.2}x"
+        top >= 2.0,
+        "acceptance bar: >=2x median records/sec on the watch-sparse 4-member batch, \
+         got {top:.2}x"
     );
 
     let rows: Vec<String> = samples.iter().map(json_row).collect();

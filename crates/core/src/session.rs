@@ -15,7 +15,7 @@ use dise_engine::EngineError;
 use dise_trace::TraceError;
 
 use crate::backend::BackendImpl;
-use crate::task::{admit_batch, Pass, SessionTask};
+use crate::task::{admit_batch, Fanout, Pass, SessionTask};
 use crate::{Application, BackendKind, TransitionStats, WatchExpr, WatchState, Watchpoint};
 
 /// Functional session passes driven since process start (one per driven
@@ -356,12 +356,20 @@ pub struct ObserverBatch<'a> {
     /// One `(observing backend, its own watchpoint set, the timing
     /// configurations to account it under)` per member.
     members: Vec<(BackendKind, Vec<Watchpoint>, Vec<CpuConfig>)>,
+    fanout: Fanout,
 }
 
 impl<'a> ObserverBatch<'a> {
     /// An empty batch over one application (the per-workload scenario).
     pub fn new(app: &'a Application) -> ObserverBatch<'a> {
-        ObserverBatch { app, members: Vec::new() }
+        ObserverBatch { app, members: Vec::new(), fanout: Fanout::default() }
+    }
+
+    /// Fan the shared pass out as `fanout` says instead of
+    /// [`Fanout::default`]; see [`SessionTask::with_fanout`].
+    pub fn fanout(&mut self, fanout: Fanout) -> &mut ObserverBatch<'a> {
+        self.fanout = fanout;
+        self
     }
 
     /// Add an observing backend with its own watchpoint set, to be
@@ -418,7 +426,10 @@ impl<'a> ObserverBatch<'a> {
     /// as if each had been run on its own, and the rest still share the
     /// pass.
     pub fn run(self) -> Result<Vec<Result<Vec<SessionReport>, DebugError>>, DebugError> {
-        SessionTask::observer(self.app, self.members).run_to_completion().into_observe()
+        SessionTask::observer(self.app, self.members)
+            .with_fanout(self.fanout)
+            .run_to_completion()
+            .into_observe()
     }
 
     /// Like [`ObserverBatch::run`], but record the shared functional
@@ -435,6 +446,7 @@ impl<'a> ObserverBatch<'a> {
         trace: &std::path::Path,
     ) -> Result<Vec<Result<Vec<SessionReport>, DebugError>>, DebugError> {
         SessionTask::observer_recorded(self.app, self.members, trace)
+            .with_fanout(self.fanout)
             .run_to_completion()
             .into_observe()
     }
@@ -454,6 +466,7 @@ impl<'a> ObserverBatch<'a> {
         trace: &std::path::Path,
     ) -> Result<Vec<Result<Vec<SessionReport>, DebugError>>, DebugError> {
         SessionTask::observer_replay(self.app, self.members, trace)
+            .with_fanout(self.fanout)
             .run_to_completion()
             .into_observe()
     }

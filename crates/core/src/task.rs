@@ -45,8 +45,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use dise_asm::Program;
 use dise_cpu::{
-    chunk_capacity_from_env, program_fingerprint, CpuConfig, Event, Exec, ExecChunk, ExecError,
-    Executor, RunStats, TimingBatch, TraceReader, TraceWriter,
+    program_fingerprint, CpuConfig, Event, Exec, ExecChunk, ExecError, Executor, RunStats,
+    TimingBatch, TraceReader, TraceWriter, MAX_BLOCK_STEPS,
 };
 use dise_mem::Memory;
 
@@ -208,6 +208,29 @@ struct ObserveSpec {
     app: Application,
     members: Vec<(BackendKind, Vec<Watchpoint>, Vec<CpuConfig>)>,
     stream: Stream,
+    fanout: Fanout,
+}
+
+/// How an observer pass fans its shared `Exec` stream out to its
+/// members. Neither value changes a single report byte — only speed —
+/// so they exist for the references the identity tests and the fan-out
+/// ablation compare against.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Fanout {
+    /// Record capacity of one dispatch chunk; `1` is the per-record
+    /// fan-out.
+    pub chunk: usize,
+    /// Members with identical `CpuConfig` lists share one copy-on-write
+    /// timing group; `false` gives every member private timing models.
+    pub share_timing: bool,
+}
+
+impl Default for Fanout {
+    /// Chunks aligned with the block cache's [`MAX_BLOCK_STEPS`],
+    /// timing shared.
+    fn default() -> Fanout {
+        Fanout { chunk: MAX_BLOCK_STEPS, share_timing: true }
+    }
 }
 
 /// Where an observer task takes its shared `Exec` stream from.
@@ -444,8 +467,8 @@ struct LiveObserver {
 /// transition — so the fan-out consumes each chunk **once per group**
 /// instead of once per member, and a member forks its private copy of
 /// the group state (exactly as of the preceding chunk) at the moment it
-/// first needs to interleave a stall. `DISE_TIMING_SHARE=0` disables
-/// the sharing; every report is byte-identical either way.
+/// first needs to interleave a stall. [`Fanout::share_timing`] `false`
+/// disables the sharing; every report is byte-identical either way.
 enum MemberTiming {
     Shared(usize),
     Private(TimingBatch),
@@ -517,9 +540,9 @@ struct FanOut {
 }
 
 impl FanOut {
-    fn new(groups: Vec<TimingGroup>) -> FanOut {
+    fn new(groups: Vec<TimingGroup>, chunk: usize) -> FanOut {
         FanOut {
-            chunk: ExecChunk::with_capacity(chunk_capacity_from_env()),
+            chunk: ExecChunk::with_capacity(chunk),
             hits: Vec::new(),
             pending: vec![false; groups.len()],
             groups,
@@ -884,7 +907,26 @@ impl SessionTask {
             app: app.clone(),
             members,
             stream,
+            fanout: Fanout::default(),
         }))
+    }
+
+    /// Builder: fan an unstarted observer task's stream out as `fanout`
+    /// says instead of [`Fanout::default`]. Reports are byte-identical
+    /// either way.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the task is not an unstarted observer task, or when
+    /// `fanout.chunk` is zero — both caller bugs.
+    #[must_use]
+    pub fn with_fanout(mut self, fanout: Fanout) -> SessionTask {
+        assert!(fanout.chunk >= 1, "a fan-out chunk must hold at least one record");
+        match &mut self.state {
+            State::PendingObserve(spec) => spec.fanout = fanout,
+            _ => panic!("with_fanout applies only to an unstarted observer task"),
+        }
+        self
     }
 
     fn pending(state: State) -> SessionTask {
@@ -1037,8 +1079,8 @@ enum Admitted {
 fn admit_members(
     members: &[(BackendKind, Vec<Watchpoint>, Vec<CpuConfig>)],
     mem: &Memory,
+    share: bool,
 ) -> (Vec<LiveObserver>, Vec<TimingGroup>, Vec<Result<Vec<SessionReport>, DebugError>>) {
-    let share = dise_env::env_flag("DISE_TIMING_SHARE", true);
     let mut results: Vec<Result<Vec<SessionReport>, DebugError>> =
         members.iter().map(|_| Ok(Vec::new())).collect();
     let mut live: Vec<LiveObserver> = Vec::new();
@@ -1110,7 +1152,8 @@ fn admit_observe(spec: ObserveSpec) -> Result<Admitted, DebugError> {
             Source::Live { exec: Executor::from_program(&prog, cfg), writer: None }
         }
     };
-    let (live, groups, results) = admit_members(&spec.members, source.mem());
+    let (live, groups, results) =
+        admit_members(&spec.members, source.mem(), spec.fanout.share_timing);
     if live.is_empty() {
         // No pass runs, so nothing is recorded either: a group that
         // settles at admission stays settled — and cold — forever.
@@ -1131,7 +1174,7 @@ fn admit_observe(spec: ObserveSpec) -> Result<Admitted, DebugError> {
     Ok(Admitted::Live(Box::new(ObserveRun {
         source,
         live,
-        fan: FanOut::new(groups),
+        fan: FanOut::new(groups, spec.fanout.chunk),
         results,
         error: None,
         text_bytes: prog.text_bytes(),

@@ -37,7 +37,8 @@
 //!   fanned across **watchpoint sets × observing backends × timing
 //!   configs** (every member carries its own set and detector) — equal
 //!   each member's private replay **bit for bit** (cycles, transitions,
-//!   text bytes), and a member's `Unsupported` error matches its
+//!   text bytes) at both the default chunked fan-out and the
+//!   per-record one, and a member's `Unsupported` error matches its
 //!   standalone error;
 //! * the persistent trace layer: a recorded trace reads back the live
 //!   `Exec` stream **record for record**, and the same batch run
@@ -56,7 +57,7 @@
 use dise_cpu::{CpuConfig, Executor, TraceReader};
 use dise_debug::{
     record_session, run_session, Application, BackendKind, CheckKind, DebugError, DiseStrategy,
-    ObserverBatch, Session, SessionReport, WatchExpr, WatchState, WatchValue, Watchpoint,
+    Fanout, ObserverBatch, Session, SessionReport, WatchExpr, WatchState, WatchValue, Watchpoint,
 };
 use dise_mem::Memory;
 use dise_workloads::synthetic::{scenario_sets, StoreOp, WatchSpec, SLOTS};
@@ -508,14 +509,23 @@ fn check_scenario(
         members.push((observing[1], &wps_b));
         members.push((observing[2], &wps));
     }
-    let mut batch = ObserverBatch::new(&app);
-    for (b, set) in &members {
-        batch.member(*b, (*set).clone(), cpus.clone());
-    }
-    let results = match batch.run() {
-        Ok(results) => results,
-        Err(e) => return Err(TestCaseError::fail(format!("observer batch setup failed: {e}"))),
+    // The per-record fan-out (`chunk: 1`) is the reference the default
+    // chunked dispatch must reproduce bit for bit.
+    let run_batch = |fanout: Fanout| {
+        let mut batch = ObserverBatch::new(&app);
+        batch.fanout(fanout);
+        for (b, set) in &members {
+            batch.member(*b, (*set).clone(), cpus.clone());
+        }
+        batch.run().map_err(|e| TestCaseError::fail(format!("observer batch setup failed: {e}")))
     };
+    let results = run_batch(Fanout::default())?;
+    let per_record = run_batch(Fanout { chunk: 1, ..Fanout::default() })?;
+    prop_assert_eq!(
+        &per_record,
+        &results,
+        "the chunked fan-out must equal the per-record fan-out bit for bit"
+    );
 
     // ---- Persistent trace == live stream == live batch, bit for bit ---
     // Record the scenario once, then (a) read the stored stream back

@@ -192,21 +192,6 @@ pub struct Exec {
     pub event: Option<Event>,
 }
 
-/// The fixed-capacity chunk size for slice-based `Exec` fan-out,
-/// from `DISE_CHUNK` (default 64, aligned with the decoded-trace
-/// block-cache boundary [`MAX_BLOCK_STEPS`]). Consumers read it once
-/// per run, so a test can vary it between runs with `set_var`.
-///
-/// # Panics
-///
-/// Panics on `DISE_CHUNK=0` (a chunk must hold at least one record)
-/// or an unparsable value — the loud-on-typo contract of `dise-env`.
-pub fn chunk_capacity_from_env() -> usize {
-    let cap: usize = dise_env::env_number("DISE_CHUNK", MAX_BLOCK_STEPS);
-    assert!(cap >= 1, "DISE_CHUNK must be at least 1, got {cap}");
-    cap
-}
-
 /// A cheap digest of one chunk's records, maintained incrementally by
 /// [`ExecChunk::push`]: the union of store footprints (min/max byte
 /// interval plus a 64-bit page-occupancy mask) and whether any record
@@ -426,8 +411,10 @@ enum Mode {
 /// Number of slots in the decoded-instruction cache (power of two).
 const DECODED_SLOTS: usize = 4096;
 
-/// Maximum decoded steps per cached block.
-const MAX_BLOCK_STEPS: usize = 64;
+/// Maximum decoded steps per cached block — and, aligned with that
+/// block boundary, the default record capacity of an [`ExecChunk`] in
+/// slice-based fan-out.
+pub const MAX_BLOCK_STEPS: usize = 64;
 
 /// Granularity of the block invalidation index (power of two). A block
 /// covers at most `MAX_BLOCK_STEPS * 4` bytes, so it spans at most two

@@ -38,24 +38,15 @@
 //! silently replay wrong.
 
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::path::Path;
 
 use dise_asm::Program;
 use dise_isa::{decode as decode_instr, encode as encode_instr, INSTR_BYTES};
 use dise_trace::wire::{apply_delta, delta, read_uvarint, write_uvarint};
-use dise_trace::{read_chunk_file, ring, ChunkWriter, Consumer, TraceError};
+use dise_trace::{read_chunk_file, ChunkWriter, TraceError};
 
 use crate::exec::{Branch, BranchKind, Event, Exec, ExecChunk, ExecError, FlushKind, MemOp};
-use crate::{chunk_capacity_from_env, CpuConfig, RunStats, TimingBatch};
-
-/// In-flight capacity of the producer→writer ring: large enough that
-/// the session thread almost never stalls on the encoder, small enough
-/// (~1.6 MiB of `Exec`) to stay a rounding error next to the simulated
-/// memory image.
-const RING_CAPACITY: usize = 16 * 1024;
+use crate::{CpuConfig, RunStats, TimingBatch, MAX_BLOCK_STEPS};
 
 /// Target size of one compressed data chunk. Chunking is pure byte
 /// segmentation — the codec state runs straight across chunk seams —
@@ -389,6 +380,9 @@ impl ExecDecoder {
             let m = *buf.get(*pos).ok_or("truncated mem byte")?;
             *pos += 1;
             let width = read_uvarint(buf, pos).ok_or("truncated mem width")?;
+            if !matches!(width, 1 | 2 | 4 | 8) {
+                return Err(format!("memory access width {width} is not 1, 2, 4 or 8"));
+            }
             let (addr, old_value, new_value) = if let Some(lm) = base.and_then(|b| b.mem) {
                 (
                     apply_delta(lm.addr, read_uvarint(buf, pos).ok_or("truncated mem addr")?),
@@ -482,145 +476,71 @@ fn raw_bytes(records: u64) -> u64 {
     records * std::mem::size_of::<Exec>() as u64
 }
 
-struct WriterOut {
-    records: u64,
-    file_bytes: u64,
-}
-
 /// Records an `Exec` stream to a trace file.
 ///
-/// The session thread calls [`TraceWriter::record`] per step; records
-/// cross a bounded SPSC ring to a dedicated writer thread that encodes
-/// and persists them, so the producer only ever waits when it is more
-/// than a full ring ahead of the disk (back-pressure, not unbounded
-/// buffering). Until [`TraceWriter::finish`] renames it into place the
-/// trace exists only as a staged temporary, so an abandoned or crashed
-/// recording publishes nothing.
+/// [`TraceWriter::record`] encodes each record on the caller's thread
+/// into one byte buffer and persists it as a CRC-checked data chunk
+/// whenever the buffer reaches `CHUNK_BYTES`. Until
+/// [`TraceWriter::finish`] renames it into place the trace exists only
+/// as a staged temporary, and dropping an unfinished writer deletes it,
+/// so an abandoned or crashed recording publishes nothing.
 pub struct TraceWriter {
-    producer: Option<dise_trace::Producer<Exec>>,
-    worker: Option<JoinHandle<Result<WriterOut, TraceError>>>,
-    completed: Arc<AtomicBool>,
+    store: ChunkWriter,
+    encoder: ExecEncoder,
+    buf: Vec<u8>,
     records: u64,
-    path: PathBuf,
 }
 
 impl TraceWriter {
-    /// Open the staged file (surfacing an unwritable trace directory
-    /// immediately, before any simulation work) and start the writer
-    /// thread.
+    /// Open the staged file, surfacing an unwritable trace directory
+    /// immediately, before any simulation work.
     ///
     /// # Errors
     ///
-    /// [`TraceError::Io`] when the staged file or the thread cannot be
-    /// created.
+    /// [`TraceError::Io`] when the staged file cannot be created.
     pub fn create(path: &Path, fingerprint: u64) -> Result<TraceWriter, TraceError> {
-        let store = ChunkWriter::create(path, fingerprint)?;
-        let (producer, consumer) = ring::<Exec>(RING_CAPACITY);
-        let completed = Arc::new(AtomicBool::new(false));
-        let completed_for_worker = Arc::clone(&completed);
-        let worker = std::thread::Builder::new()
-            .name("dise-trace-writer".to_string())
-            .spawn(move || write_stream(store, consumer, &completed_for_worker))
-            .map_err(|e| TraceError::Io {
-                path: path.display().to_string(),
-                error: format!("spawning writer thread: {e}"),
-            })?;
         Ok(TraceWriter {
-            producer: Some(producer),
-            worker: Some(worker),
-            completed,
+            store: ChunkWriter::create(path, fingerprint)?,
+            encoder: ExecEncoder::new(),
+            buf: Vec::with_capacity(2 * CHUNK_BYTES),
             records: 0,
-            path: path.to_path_buf(),
         })
     }
 
-    /// Enqueue one record for the writer thread.
+    /// Encode one record, persisting a data chunk when the buffer fills.
     ///
     /// # Panics
     ///
-    /// Panics — loudly, with the writer thread's error — if that thread
-    /// died (e.g. the disk filled mid-recording). A recording the
-    /// caller asked for must never silently become a non-recording.
+    /// Panics — loudly, with the path and the I/O error — when a chunk
+    /// cannot be written (e.g. the disk filled mid-recording). A
+    /// recording the caller asked for must never silently become a
+    /// non-recording.
     pub fn record(&mut self, e: &Exec) {
         self.records += 1;
-        let producer = self.producer.as_mut().expect("record() before finish()");
-        if producer.push(*e).is_err() {
-            let reason = match self.worker.take().map(JoinHandle::join) {
-                Some(Ok(Err(err))) => err.to_string(),
-                Some(Err(panic)) => std::panic::resume_unwind(panic),
-                _ => "writer thread exited unexpectedly".to_string(),
-            };
-            panic!("trace recording to {} failed: {reason}", self.path.display());
+        self.encoder.encode(e, &mut self.buf);
+        if self.buf.len() >= CHUNK_BYTES {
+            if let Err(err) = self.store.chunk(&self.buf) {
+                panic!("trace recording failed: {err}");
+            }
+            self.buf.clear();
         }
     }
 
-    /// Seal the stream: drain the ring, write the terminal chunk, and
-    /// rename the staged file into place.
+    /// Seal the stream: write the last data chunk and the terminal
+    /// chunk, and rename the staged file into place.
     ///
     /// # Errors
     ///
-    /// [`TraceError::Io`] when encoding or persisting failed; the
-    /// staged file is discarded and nothing is published.
+    /// [`TraceError::Io`] when persisting failed; the staged file is
+    /// discarded and nothing is published.
     pub fn finish(mut self) -> Result<TraceStats, TraceError> {
-        // Mark completion *before* hanging up, so the writer thread can
-        // distinguish a sealed stream from an abandoned one.
-        self.completed.store(true, Ordering::Release);
-        drop(self.producer.take());
-        let out = match self.worker.take().expect("finish() runs once").join() {
-            Ok(res) => res?,
-            Err(panic) => std::panic::resume_unwind(panic),
-        };
-        debug_assert_eq!(out.records, self.records, "ring must deliver every record");
-        Ok(TraceStats {
-            records: out.records,
-            raw_bytes: raw_bytes(out.records),
-            file_bytes: out.file_bytes,
-        })
-    }
-}
-
-impl Drop for TraceWriter {
-    fn drop(&mut self) {
-        // Abandonment path (a recording task dropped mid-run): hang up
-        // without marking completion; the writer thread discards the
-        // staged file, so no truncated trace is ever published.
-        drop(self.producer.take());
-        if let Some(worker) = self.worker.take() {
-            let _ = worker.join();
+        self.encoder.finish(&mut self.buf);
+        if !self.buf.is_empty() {
+            self.store.chunk(&self.buf)?;
         }
+        let file_bytes = self.store.finish(self.records)?;
+        Ok(TraceStats { records: self.records, raw_bytes: raw_bytes(self.records), file_bytes })
     }
-}
-
-fn write_stream(
-    mut store: ChunkWriter,
-    mut consumer: Consumer<Exec>,
-    completed: &AtomicBool,
-) -> Result<WriterOut, TraceError> {
-    let mut encoder = ExecEncoder::new();
-    let mut out = Vec::with_capacity(2 * CHUNK_BYTES);
-    let mut records = 0u64;
-    while let Some(e) = consumer.pop() {
-        encoder.encode(&e, &mut out);
-        records += 1;
-        if out.len() >= CHUNK_BYTES {
-            store.chunk(&out)?;
-            out.clear();
-        }
-    }
-    if !completed.load(Ordering::Acquire) {
-        // Producer hung up without sealing: abandoned recording.
-        // Dropping `store` discards the staged file.
-        return Err(TraceError::Io {
-            path: "(unpublished)".to_string(),
-            error: "recording abandoned before completion".to_string(),
-        });
-    }
-    encoder.finish(&mut out);
-    if !out.is_empty() {
-        store.chunk(&out)?;
-    }
-    let file_bytes = store.finish(records)?;
-    Ok(WriterOut { records, file_bytes })
 }
 
 /// Replays an `Exec` stream from a trace file.
@@ -782,7 +702,7 @@ pub fn replay_timing(
     // Pure timing replay has no observers, so every record is clean:
     // decode whole chunks into one scratch buffer and account each as a
     // slice, models-outer / records-inner.
-    let mut chunk = ExecChunk::with_capacity(chunk_capacity_from_env());
+    let mut chunk = ExecChunk::with_capacity(MAX_BLOCK_STEPS);
     loop {
         let (read, dirty) = reader.next_chunk(&mut chunk, u64::MAX, |_| false)?;
         debug_assert!(dirty.is_none(), "the never-dirty closure returned a record");

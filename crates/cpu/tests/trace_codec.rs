@@ -15,9 +15,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use dise_asm::{parse_asm, Layout, Program};
 use dise_cpu::{
-    program_fingerprint, replay_timing, CpuConfig, ExecChunk, Executor, Machine, TraceReader,
-    TraceWriter,
+    program_fingerprint, replay_timing, CpuConfig, Exec, ExecChunk, ExecEncoder, Executor, Machine,
+    MemOp, TraceReader, TraceWriter,
 };
+use dise_isa::{Instr, Reg, Width};
+use dise_trace::{ChunkWriter, TraceError};
 
 /// The known tight-loop stream the fixture pins: a counted store loop,
 /// the shape the RLE + delta codec is built for.
@@ -177,8 +179,70 @@ fn stale_trace_is_rejected_by_fingerprint() {
     let err = TraceReader::open(&path, Some(program_fingerprint(&other)))
         .err()
         .expect("stale trace must be rejected");
-    assert!(
-        matches!(err, dise_trace::TraceError::FingerprintMismatch { .. }),
-        "wrong variant: {err:?}"
-    );
+    assert!(matches!(err, TraceError::FingerprintMismatch { .. }), "wrong variant: {err:?}");
+}
+
+/// A quad store record at a fixed PC with the given access width and
+/// stored value.
+fn store(width: u64, new_value: u64) -> Exec {
+    Exec {
+        pc: 0x1000,
+        disepc: 0,
+        in_dise_call: false,
+        instr: Instr::Store { width: Width::Q, rs: Reg::gpr(1), base: Reg::gpr(2), disp: 0 },
+        fetched: true,
+        branch: None,
+        mem: Some(MemOp { addr: 0x8000, width, is_store: true, old_value: 7, new_value }),
+        flush: None,
+        event: None,
+    }
+}
+
+/// A CRC-clean trace whose store claims a 3-byte access must be
+/// rejected as malformed at decode, not panic later in replay when the
+/// shadow memory is asked for an impossible access width.
+#[test]
+fn bad_store_width_is_malformed() {
+    let encode = |e: &Exec| {
+        let (mut enc, mut out) = (ExecEncoder::new(), Vec::new());
+        enc.encode(e, &mut out);
+        enc.finish(&mut out);
+        out
+    };
+    let (quad, long) = (encode(&store(8, 9)), encode(&store(4, 9)));
+    assert_eq!(quad.len(), long.len());
+    let differing: Vec<usize> = (0..quad.len()).filter(|&i| quad[i] != long[i]).collect();
+    let [width_at] = differing[..] else { panic!("the width is one byte: {differing:?}") };
+    let mut bad = quad;
+    bad[width_at] = 3;
+
+    let path = scratch("bad_width.dtrc");
+    let mut writer = ChunkWriter::create(&path, 0).expect("create");
+    writer.chunk(&bad).expect("chunk");
+    writer.finish(1).expect("finish");
+    let mut reader = TraceReader::open(&path, None).expect("every CRC is valid");
+    let err = reader.next().expect_err("a 3-byte store must not decode");
+    assert!(matches!(err, TraceError::Malformed { .. }), "wrong variant: {err:?}");
+}
+
+/// Abandoning a recording after it has persisted a data chunk publishes
+/// nothing and leaves no staged file behind.
+#[test]
+fn dropped_writer_leaves_no_trace_and_no_staged_file() {
+    let path = scratch("abandoned.dtrc");
+    let mut staged = path.clone().into_os_string();
+    staged.push(format!(".tmp.{}", std::process::id()));
+    let staged = PathBuf::from(staged);
+
+    let mut writer = TraceWriter::create(&path, 1).expect("create");
+    // Pseudo-random stored values defeat the delta coding, so every
+    // record costs several bytes and a 64 KiB data chunk soon fills.
+    let mut value = 0x9E37_79B9_7F4A_7C15u64;
+    while std::fs::metadata(&staged).expect("staged file exists").len() < 64 * 1024 {
+        value = value.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+        writer.record(&store(8, value));
+    }
+    drop(writer);
+    assert!(!path.exists(), "an abandoned recording must publish nothing");
+    assert!(!staged.exists(), "an abandoned recording must remove its staged file");
 }

@@ -1,16 +1,14 @@
 //! # dise-env — the one parser for every `DISE_*` environment knob
 //!
-//! The workspace reads its tuning knobs from the environment
-//! (`DISE_JOBS`, `DISE_ITERS`, `DISE_SLICE`, `DISE_TRACE_DIR`,
-//! `DISE_CHUNK`, `DISE_TIMING_SHARE`, …). The contract is uniform: **a
-//! typo must fail loudly**, never silently fall back to a default the
-//! user did not ask for — a mistyped `DISE_TIMING_SHARE=of` that
-//! quietly kept timing sharing on would invalidate an ablation without
-//! anyone noticing. This crate holds the
-//! parsers ([`env_number`], [`env_flag`], [`env_string`]) so `dise-cpu`,
-//! `dise-debug` and `dise-bench` cannot drift apart on that contract
-//! (and so the core crates need no dependency on the bench harness,
-//! where the helper first lived).
+//! The experiment binaries read their tuning knobs from the environment
+//! (`DISE_JOBS`, `DISE_ITERS`, `DISE_SLICE`, `DISE_TRACE_DIR`, …) at
+//! their edge; the simulator and debugger crates take every setting as
+//! an explicit value and read no environment at all. The contract is
+//! uniform: **a typo must fail loudly**, never silently fall back to a
+//! default the user did not ask for — a mistyped `DISE_ITERS=4O0` that
+//! quietly ran the default scale would invalidate a table without
+//! anyone noticing. This crate holds the parsers ([`env_number`],
+//! [`env_flag`], [`env_string`]) so every binary keeps that contract.
 //!
 //! Unset and empty/whitespace-only values mean "use the default" for
 //! both parsers: an empty variable is how shells and CI matrices spell

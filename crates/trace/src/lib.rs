@@ -8,15 +8,11 @@
 //! processes and runs — record the pass once, replay it forever.
 //!
 //! The crate is deliberately `Exec`-agnostic: it knows nothing about the
-//! simulated machine. It provides the three generic layers the codec in
+//! simulated machine. It provides the two generic layers the codec in
 //! `dise_cpu::trace` is built from:
 //!
 //! - [`wire`]: LEB128-style unsigned varints, zigzag deltas, and a
 //!   table-driven CRC-32 (IEEE) — the integer vocabulary of the format.
-//! - [`ring`]: a bounded lock-free single-producer/single-consumer ring,
-//!   so the hot producing session never blocks on a cold disk consumer
-//!   (and applies back-pressure instead of buffering unboundedly when
-//!   the consumer falls behind).
 //! - [`store`]: the versioned on-disk container — magic, format
 //!   version, kernel fingerprint, CRC-checked chunks, and a terminal
 //!   record-count chunk, written to a temporary sibling and renamed into
@@ -27,11 +23,9 @@
 //! variant: a stale or corrupt trace must be rejected loudly and
 //! distinguishably, never replayed silently wrong.
 
-pub mod ring;
 pub mod store;
 pub mod wire;
 
-pub use ring::{ring, Consumer, Disconnected, Producer, TryPopError, TryPushError};
 pub use store::{read_chunk_file, ChunkFile, ChunkWriter, MAGIC, VERSION};
 
 /// Everything that can make a persistent trace unusable.

@@ -542,20 +542,20 @@ proptest! {
     /// Chunked fan-out byte-identity, on the filter's hardest case:
     /// random kernels whose indirect watchpoint's pointer cell is
     /// retargeted mid-chunk. For every chunk size — including across
-    /// arbitrary poll-budget slicings and the trace record/replay path —
-    /// the three-member observer batch must report byte-identically to
-    /// `DISE_CHUNK=1` (the per-record fan-out), and the chunk-skip
-    /// counters must conserve: every (member, chunk) pair is skipped or
-    /// scanned, never both, never neither.
+    /// arbitrary poll-budget slicings, private timing, and the trace
+    /// record/replay path — the three-member observer batch must report
+    /// byte-identically to `chunk: 1` (the per-record fan-out), and
+    /// every run's chunk-skip counters must conserve: every (member,
+    /// chunk) pair is skipped or scanned, never both, never neither.
     #[test]
     fn chunked_fanout_is_byte_identical_for_every_chunk_size(
         actions in prop::collection::vec(any_watch_action(), 1..40),
-        cap in 2u64..96,
+        cap in 2usize..96,
         budget in 1u64..64,
     ) {
         use dise_repro::debug::{
             fanout_chunks, fanout_chunks_scanned, fanout_chunks_skipped, Application, BackendKind,
-            SessionTask, Step, WatchExpr, Watchpoint,
+            Fanout, SessionTask, Step, WatchExpr, Watchpoint,
         };
 
         let app = Application::new(watched_pointer_asm(&actions), Layout::default());
@@ -579,9 +579,12 @@ proptest! {
                 cpus,
             ),
         ];
-        let run = |chunk: u64, budget: u64| {
-            std::env::set_var("DISE_CHUNK", chunk.to_string());
-            let mut task = SessionTask::observer(&app, members.clone());
+        // Drive one task to completion in `budget`-instruction slices,
+        // checking the conservation law on the counters it alone moved
+        // (no other test in this binary runs an observer pass).
+        let drive = |task: SessionTask, chunk: usize, share_timing: bool, budget: u64| {
+            let mut task = task.with_fanout(Fanout { chunk, share_timing });
+            let (c0, s0, k0) = (fanout_chunks(), fanout_chunks_scanned(), fanout_chunks_skipped());
             let out = loop {
                 match task.poll(budget) {
                     Step::Done(out) => break out,
@@ -589,26 +592,26 @@ proptest! {
                     Step::Blocked(r) => panic!("ungated task blocked: {r}"),
                 }
             };
-            out.into_observe().unwrap()
+            let chunks = fanout_chunks() - c0;
+            let decisions = (fanout_chunks_scanned() - s0) + (fanout_chunks_skipped() - k0);
+            (out.into_observe().unwrap(), decisions, 3 * chunks)
+        };
+        let run = |chunk: usize, share_timing: bool, budget: u64| {
+            drive(SessionTask::observer(&app, members.clone()), chunk, share_timing, budget)
         };
 
-        let (c0, s0, k0) = (fanout_chunks(), fanout_chunks_scanned(), fanout_chunks_skipped());
-        let reference = run(1, u64::MAX);
-        let (dc, ds, dk) = (
-            fanout_chunks() - c0,
-            fanout_chunks_scanned() - s0,
-            fanout_chunks_skipped() - k0,
-        );
-        prop_assert_eq!(ds + dk, 3 * dc, "every (member, chunk) pair is scanned xor skipped");
-
-        prop_assert_eq!(&run(cap, u64::MAX), &reference, "chunk size {} diverged", cap);
-        prop_assert_eq!(&run(cap, budget), &reference, "budget-sliced chunk {} diverged", cap);
-
-        // Copy-on-write timing groups must be invisible: disabling the
-        // sharing changes nothing but speed.
-        std::env::set_var("DISE_TIMING_SHARE", "0");
-        prop_assert_eq!(&run(cap, u64::MAX), &reference, "private timing diverged");
-        std::env::remove_var("DISE_TIMING_SHARE");
+        let (reference, decisions, pairs) = run(1, true, u64::MAX);
+        prop_assert_eq!(decisions, pairs, "per-record run: scanned xor skipped");
+        for (share_timing, budget) in [(true, u64::MAX), (true, budget), (false, u64::MAX)] {
+            // Copy-on-write timing groups must be invisible too:
+            // disabling the sharing changes nothing but speed.
+            let (out, decisions, pairs) = run(cap, share_timing, budget);
+            prop_assert_eq!(
+                &out, &reference,
+                "chunk {} (share {}, budget {}) diverged", cap, share_timing, budget
+            );
+            prop_assert_eq!(decisions, pairs, "chunk {}: scanned xor skipped", cap);
+        }
 
         // The trace path: record at the large chunk size, replay at
         // both extremes — all byte-identical to the per-record run.
@@ -619,21 +622,16 @@ proptest! {
             "{}.dtrc",
             UNIQUE.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
         ));
-        std::env::set_var("DISE_CHUNK", cap.to_string());
-        let recorded = SessionTask::observer_recorded(&app, members.clone(), &trace)
-            .run_to_completion()
-            .into_observe()
-            .unwrap();
+        let recording = SessionTask::observer_recorded(&app, members.clone(), &trace);
+        let (recorded, decisions, pairs) = drive(recording, cap, true, u64::MAX);
         prop_assert_eq!(&recorded, &reference, "recording pass diverged");
+        prop_assert_eq!(decisions, pairs, "recording pass: scanned xor skipped");
         for replay_chunk in [1, cap] {
-            std::env::set_var("DISE_CHUNK", replay_chunk.to_string());
-            let replayed = SessionTask::observer_replay(&app, members.clone(), &trace)
-                .run_to_completion()
-                .into_observe()
-                .unwrap();
+            let replay = SessionTask::observer_replay(&app, members.clone(), &trace);
+            let (replayed, decisions, pairs) = drive(replay, replay_chunk, true, u64::MAX);
             prop_assert_eq!(&replayed, &reference, "replay at chunk {} diverged", replay_chunk);
+            prop_assert_eq!(decisions, pairs, "replay at chunk {}: scanned xor skipped", replay_chunk);
         }
-        std::env::remove_var("DISE_CHUNK");
         let _ = std::fs::remove_file(&trace);
     }
 }

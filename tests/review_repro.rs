@@ -2,7 +2,9 @@
 
 use dise_repro::asm::{Asm, Layout};
 use dise_repro::cpu::CpuConfig;
-use dise_repro::debug::{Application, BackendKind, SessionTask, Step, WatchExpr, Watchpoint};
+use dise_repro::debug::{
+    Application, BackendKind, Fanout, SessionTask, Step, WatchExpr, Watchpoint,
+};
 use dise_repro::isa::{Instr, Reg, Width};
 
 fn kernel() -> Asm {
@@ -52,9 +54,9 @@ fn clean_prefix_scan_after_dirty_retarget() {
             cpus.clone(),
         ),
     ];
-    let run = |chunk: u64| {
-        std::env::set_var("DISE_CHUNK", chunk.to_string());
-        let mut task = SessionTask::observer(&app, members.clone());
+    let run = |chunk: usize| {
+        let mut task = SessionTask::observer(&app, members.clone())
+            .with_fanout(Fanout { chunk, ..Fanout::default() });
         let out = loop {
             match task.poll(u64::MAX) {
                 Step::Done(out) => break out,
