@@ -1,12 +1,12 @@
-//! Chunked fan-out ablation: what slice-based observer dispatch with
-//! per-member store-interval prefilters buys over record-at-a-time
-//! fan-out. The observer batch runs a watch-sparse kernel — every store
-//! lands pages away from every watched cell — once per [`Fanout`]
+//! Chunked fan-out ablation: what handing clean records to timing in
+//! slices buys over record-at-a-time fan-out. The observer batch runs a
+//! watch-sparse kernel — every store lands pages away from every
+//! watched cell — once per [`Fanout`]
 //! (`chunk: 1` *is* the per-record fan-out: every record becomes a
 //! singleton chunk), on both the live-execution and trace-replay paths,
 //! for each observing backend solo and for the 4-member batch. A middle
 //! row per configuration (chunked, private timing) splits the win
-//! between chunk dispatch/prefiltering and copy-on-write timing groups.
+//! between chunked dispatch and copy-on-write timing groups.
 //! The reps are interleaved round-robin across the three fan-outs and
 //! each is reported at its median wall time, so a burst of machine
 //! noise hits every configuration alike. Output is asserted
@@ -142,7 +142,7 @@ fn main() {
     assert!(chunk > 1, "the ablation compares DISE_CHUNK={chunk} against the per-record 1");
     // The baseline is the pre-chunking fan-out: every record dispatched
     // alone, every member consuming privately. The middle row isolates
-    // the dispatch/prefilter win from the shared-timing win.
+    // the chunked-dispatch win from the shared-timing win.
     let fanouts = [
         Fanout { chunk: 1, share_timing: false },
         Fanout { chunk, share_timing: false },
@@ -150,11 +150,12 @@ fn main() {
     ];
 
     // The watch-sparse kernel: a tight store loop hammering `hot`,
-    // with every watched cell a page or more away — no store ever
-    // intersects a member's filter, so every clean chunk is skippable
-    // by every member. This isolates the dispatch cost the tentpole
-    // removes; the conformance and property suites already prove the
-    // dense/retargeting cases byte-identical.
+    // with every watched cell a page or more away — no store ever hits
+    // a member's filter, so every record but the final halt is clean
+    // and reaches the members only as timing slices. This isolates the
+    // per-record dispatch cost that chunking removes; the conformance
+    // and property suites already prove the dense/retargeting cases
+    // byte-identical.
     // `lda` carries a 14-bit displacement; synthesize larger iteration
     // counts as base * 2^k with a run of doublings.
     let (mut base, mut doublings) = (i64::from(iters), String::new());
@@ -283,15 +284,16 @@ fn main() {
     println!("\nwrote BENCH_fanout.json");
 
     println!(
-        "\nThe skipped column is the dispatch half of the tentpole: on a \
-         watch-sparse stream the summary/filter intersection rejects whole \
-         chunks per member, so no member's observer ever touches a clean \
-         record. The share column is the timing half: members with identical \
-         CpuConfig lists hold bit-identical timing state until their first \
-         spurious stall, so one copy-on-write timing group consumes each \
-         chunk once instead of {} times. Per-record private-timing dispatch \
-         (chunk 1, share off) — the pre-chunking fan-out — pays both costs \
-         on every kernel instruction.",
+        "\nThe skipped column is the dispatch half: a record whose store \
+         misses every member's filter and that carries no event is clean, \
+         so on a watch-sparse stream every member skips whole chunks and \
+         no member's observer ever touches a clean record. The share column \
+         is the timing half: members with identical CpuConfig lists hold \
+         bit-identical timing state until their first spurious stall, so \
+         one copy-on-write timing group consumes each chunk once instead of \
+         {} times. Per-record private-timing dispatch (chunk 1, share \
+         off) — the pre-chunking fan-out — pays both costs on every kernel \
+         instruction.",
         batch4.len()
     );
 

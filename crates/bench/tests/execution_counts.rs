@@ -108,14 +108,20 @@ fn grids_execute_once_per_functional_stream_not_once_per_cell() {
     assert_eq!(batched, unbatched, "the watchpoint axis must not change a single byte");
 
     // The chunked fan-out conservation bar: every (member, chunk) pair
-    // is skipped wholesale or scanned record-by-record — never both,
-    // never neither. The shared pass carries 6 members (3 watchpoint
-    // sets x 2 observing backends; timing configs ride *inside* a
-    // member's TimingBatch and do not multiply the fan-out).
+    // is skipped (a clean chunk reaches only timing) or scanned (a
+    // dirty record is observed) — never both, never neither. The
+    // shared pass carries 6 members (3 watchpoint sets x 2 observing
+    // backends; timing configs ride *inside* a member's TimingBatch
+    // and do not multiply the fan-out). Every chunk is decided alike
+    // for all members — a clean chunk is skipped by each, a dirty
+    // record observed by each — so both counts are whole multiples of
+    // the member count.
     let (fc, fs, fk) =
         (fanout_chunks() - fc0, fanout_chunks_scanned() - fs0, fanout_chunks_skipped() - fk0);
     assert!(fc > 0, "the shared observer pass must be chunked");
     assert_eq!(fs + fk, 6 * fc, "skipped + scanned == members x chunks");
+    assert_eq!(fs % 6, 0, "every member observes every dirty record");
+    assert_eq!(fk % 6, 0, "every member skips every clean chunk");
 
     // Solo member: the invariant in its literal per-member form,
     // `skipped + scanned == chunks`.

@@ -218,38 +218,14 @@ pub(crate) trait ObserverImpl: Send {
         stats: &mut TransitionStats,
     ) -> Option<Transition>;
 
-    /// The store-footprint prefilter the chunked fan-out tests each
-    /// [`dise_cpu::ChunkSummary`] against before scanning this
-    /// observer: every byte whose mutation could change what
-    /// [`ObserverImpl::observe`] reports must be covered. `watch` and
-    /// `mem` carry the *current* watch state — a dynamic filter
-    /// (indirect watches) is rebuilt from them after every forced scan.
+    /// The store-footprint filter that decides which records this
+    /// observer can see: every byte whose mutation could change what
+    /// [`ObserverImpl::observe`] reports must be covered, because a
+    /// record whose store misses every member's filter (and carries no
+    /// event) reaches only the timing models. `watch` and `mem` carry
+    /// the *current* watch state — a dynamic filter (indirect watches)
+    /// is rebuilt from them after every dirty record.
     fn filter(&self, watch: &WatchState, mem: &Memory) -> WatchFilter;
-
-    /// Inspect a slice of consecutive records with one virtual
-    /// dispatch, pushing `(record index, transition)` pairs in stream
-    /// order. The default is the per-record fallback over
-    /// [`ObserverImpl::observe`].
-    ///
-    /// `mem` is the state *after* the last record of the slice. The
-    /// caller must guarantee that is indistinguishable from per-record
-    /// memory for this observer — the fan-out does, by scanning only
-    /// single-record slices or slices whose stores all miss the
-    /// member's filter.
-    fn observe_slice(
-        &mut self,
-        records: &[Exec],
-        mem: &Memory,
-        watch: &mut WatchState,
-        stats: &mut TransitionStats,
-        out: &mut Vec<(u32, Transition)>,
-    ) {
-        for (i, e) in records.iter().enumerate() {
-            if let Some(t) = self.observe(e, mem, watch, stats) {
-                out.push((i as u32, t));
-            }
-        }
-    }
 }
 
 #[cfg(test)]

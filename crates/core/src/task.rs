@@ -45,10 +45,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use dise_asm::Program;
 use dise_cpu::{
-    program_fingerprint, CpuConfig, Event, Exec, ExecChunk, ExecError, Executor, RunStats,
-    TimingBatch, TraceReader, TraceWriter, MAX_BLOCK_STEPS,
+    program_fingerprint, CpuConfig, Event, Exec, ExecError, Executor, RunStats, TimingBatch,
+    TraceReader, TraceWriter, MAX_BLOCK_STEPS,
 };
 use dise_mem::Memory;
+use dise_trace::TraceError;
 
 use crate::backend::{BackendImpl, ObserverImpl};
 use crate::session::{
@@ -56,21 +57,18 @@ use crate::session::{
     IMAGE_LOADS,
 };
 use crate::trace::{TRACE_RECORDS, TRACE_REPLAYS};
-use crate::{
-    Application, BackendKind, Transition, TransitionStats, WatchFilter, WatchState, Watchpoint,
-};
+use crate::{Application, BackendKind, TransitionStats, WatchFilter, WatchState, Watchpoint};
 
-/// Chunks dispatched by the slice-based observer fan-out, live and
-/// replayed alike (a dirty record dispatches as its own chunk of one).
+/// Chunks dispatched by the observer fan-out, live and replayed alike:
+/// every clean chunk, and every dirty record as a chunk of its own.
 pub(crate) static FANOUT_CHUNKS: AtomicU64 = AtomicU64::new(0);
-/// Per-member skip decisions: the member's [`WatchFilter`] proved no
-/// buffered store touched a watched byte (and the chunk carried no
-/// event), so `observe` never ran and only the bulk timing slice was
-/// charged.
+/// Per-member skip decisions: a clean chunk reaches the member's timing
+/// as one slice and its `observe` never runs. Every member skips every
+/// clean chunk.
 pub(crate) static FANOUT_CHUNKS_SKIPPED: AtomicU64 = AtomicU64::new(0);
-/// Per-member scan decisions: the chunk summary intersected the
-/// member's filter (or carried an event), so the member scanned the
-/// records one by one. `skipped + scanned == members × chunks`, always.
+/// Per-member scan decisions: every member observes every dirty record.
+/// `skipped + scanned == members × chunks`, always, and each is a
+/// multiple of the member count.
 pub(crate) static FANOUT_CHUNKS_SCANNED: AtomicU64 = AtomicU64::new(0);
 
 /// Process-wide count of chunks dispatched by the observer fan-out.
@@ -78,12 +76,12 @@ pub fn fanout_chunks() -> u64 {
     FANOUT_CHUNKS.load(Ordering::Relaxed)
 }
 
-/// Process-wide count of per-member whole-chunk skips (filter miss).
+/// Process-wide count of per-member whole-chunk skips (clean chunks).
 pub fn fanout_chunks_skipped() -> u64 {
     FANOUT_CHUNKS_SKIPPED.load(Ordering::Relaxed)
 }
 
-/// Process-wide count of per-member record-by-record chunk scans.
+/// Process-wide count of per-member observations of a dirty record.
 pub fn fanout_chunks_scanned() -> u64 {
     FANOUT_CHUNKS_SCANNED.load(Ordering::Relaxed)
 }
@@ -217,8 +215,8 @@ struct ObserveSpec {
 /// ablation compare against.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Fanout {
-    /// Record capacity of one dispatch chunk; `1` is the per-record
-    /// fan-out.
+    /// Clean records buffered before timing consumes them as one
+    /// slice; `1` is the per-record fan-out.
     pub chunk: usize,
     /// Members with identical `CpuConfig` lists share one copy-on-write
     /// timing group; `false` gives every member private timing models.
@@ -445,8 +443,8 @@ impl GroupRun {
 
 /// One admitted member of an observer pass: its replayable detector and
 /// private accounting, fed the shared `Exec` stream. `filter` is the
-/// member's precomputed store-footprint prefilter; the fan-out rebuilds
-/// it (for dynamic filters only) after every forced scan.
+/// member's precomputed store-footprint filter; the fan-out rebuilds it
+/// (for dynamic filters only) after every dirty record.
 struct LiveObserver {
     member: usize,
     observer: Box<dyn ObserverImpl>,
@@ -466,7 +464,7 @@ struct LiveObserver {
 /// therefore hold bit-identical timing state until the first spurious
 /// transition — so the fan-out consumes each chunk **once per group**
 /// instead of once per member, and a member forks its private copy of
-/// the group state (exactly as of the preceding chunk) at the moment it
+/// the group state (exactly as of the preceding record) at the moment it
 /// first needs to interleave a stall. [`Fanout::share_timing`] `false`
 /// disables the sharing; every report is byte-identical either way.
 enum MemberTiming {
@@ -477,9 +475,10 @@ enum MemberTiming {
 impl MemberTiming {
     /// The member is about to interleave a stall with its consumes:
     /// detach from the shared group (which has *not* consumed the
-    /// current chunk yet) and return the private models.
-    fn fork<'a>(&'a mut self, groups: &[TimingGroup]) -> &'a mut TimingBatch {
+    /// current record yet) and return the private models.
+    fn fork<'a>(&'a mut self, groups: &mut [TimingGroup]) -> &'a mut TimingBatch {
         if let MemberTiming::Shared(g) = *self {
+            groups[g].members -= 1;
             *self = MemberTiming::Private(groups[g].timings.clone());
         }
         match self {
@@ -494,6 +493,9 @@ impl MemberTiming {
 struct TimingGroup {
     timings: TimingBatch,
     cfgs: Vec<CpuConfig>,
+    /// Members still on the group; once every one has forked off, the
+    /// group stops consuming.
+    members: usize,
 }
 
 /// Must `e` leave the clean bulk path? A record is dirty when it
@@ -512,146 +514,99 @@ fn record_is_dirty(live: &[LiveObserver], e: &Exec) -> bool {
     }
 }
 
-/// The chunk-at-a-time fan-out shared verbatim by the live pass and the
-/// trace replay (the two loops previously duplicated this logic
-/// record-at-a-time). One scratch chunk and one scratch hit list live
-/// for the whole run — no per-record heap traffic.
+/// The observer fan-out, shared verbatim by the live pass and the trace
+/// replay. A clean record is invisible to every member — its store, if
+/// any, misses every filter, and it carries no event — so:
 ///
-/// The dispatch contract, per chunk and per member:
+/// - clean records buffer into `chunk` (up to `cap`), and a flush hands
+///   them to every member's timing as one slice, with no `observe` call;
+/// - a dirty record flushes the clean prefix and is then observed by
+///   every member on its own, at memory exactly as of that record, with
+///   the scalar loop's consume/observe/stall order.
 ///
-/// - the member's [`WatchFilter`] misses the chunk's
-///   [`dise_cpu::ChunkSummary`] and the chunk carries no event → the
-///   member's `observe` is skipped for every record and its timing
-///   models consume the records as one bulk slice;
-/// - otherwise the member scans record by record, with the exact
-///   consume/observe/stall interleaving of the scalar loop.
-///
-/// Byte-identity for every chunk size rests on one invariant: `observe`
-/// only ever runs against memory *exactly* as of its record. Clean
-/// chunks guarantee it vacuously (no watched byte moved, so observation
-/// is memory-independent for every skipped *and* scanned member);
-/// dirty records are dispatched as chunks of one.
+/// Byte-identity for every chunk size follows: `observe` only ever runs
+/// against memory exactly as of its record, and every record it could
+/// react to is dispatched that way.
 struct FanOut {
-    chunk: ExecChunk,
-    hits: Vec<(u32, Transition)>,
+    chunk: Vec<Exec>,
+    cap: usize,
     groups: Vec<TimingGroup>,
-    /// Per-chunk scratch: which groups still owe this chunk a consume.
-    pending: Vec<bool>,
 }
 
 impl FanOut {
-    fn new(groups: Vec<TimingGroup>, chunk: usize) -> FanOut {
-        FanOut {
-            chunk: ExecChunk::with_capacity(chunk),
-            hits: Vec::new(),
-            pending: vec![false; groups.len()],
-            groups,
+    fn new(groups: Vec<TimingGroup>, cap: usize) -> FanOut {
+        FanOut { chunk: Vec::with_capacity(cap), cap, groups }
+    }
+
+    /// Buffer one clean record, flushing the chunk once it is full.
+    fn push_clean(&mut self, e: Exec, live: &mut [LiveObserver]) {
+        self.chunk.push(e);
+        if self.chunk.len() == self.cap {
+            self.flush(live);
         }
     }
 
-    /// Dispatch the buffered records to every member and reset the
-    /// chunk. No-op on an empty chunk.
-    ///
-    /// Per member: skip (filter misses, no event), or scan. A scanning
-    /// member whose hits carry no spurious stall only *counts* them —
-    /// its cycle stream is still the plain slice, so its timing stays
-    /// with the group. Group consumes run last, after every possible
-    /// fork has copied the group's pre-chunk state.
-    fn flush(&mut self, live: &mut [LiveObserver], mem: &Memory) {
+    /// Hand the buffered clean records to every member's timing as one
+    /// slice — once per private member and once per group still shared
+    /// — and reset the chunk. No-op on an empty chunk.
+    fn flush(&mut self, live: &mut [LiveObserver]) {
         if self.chunk.is_empty() {
             return;
         }
         FANOUT_CHUNKS.fetch_add(1, Ordering::Relaxed);
-        let summary = *self.chunk.summary();
-        let records = self.chunk.records();
-        for p in &mut self.pending {
-            *p = false;
-        }
+        FANOUT_CHUNKS_SKIPPED.fetch_add(live.len() as u64, Ordering::Relaxed);
         for l in live.iter_mut() {
-            let consumed = if summary.any_event() || l.filter.intersects(&summary) {
-                scan_member(l, &self.groups, records, &mut self.hits, mem)
-            } else {
-                FANOUT_CHUNKS_SKIPPED.fetch_add(1, Ordering::Relaxed);
-                false
-            };
-            if !consumed {
-                match &mut l.timing {
-                    MemberTiming::Shared(g) => self.pending[*g] = true,
-                    MemberTiming::Private(t) => t.consume_slice(records),
-                }
+            if let MemberTiming::Private(t) = &mut l.timing {
+                t.consume_slice(&self.chunk);
             }
         }
-        for (g, pending) in self.groups.iter_mut().zip(&self.pending) {
-            if *pending {
-                g.timings.consume_slice(records);
-            }
+        for g in self.groups.iter_mut().filter(|g| g.members > 0) {
+            g.timings.consume_slice(&self.chunk);
         }
         self.chunk.clear();
     }
 
-    /// Dispatch one dirty record as its own chunk — after the clean
-    /// prefix has been flushed, so `mem` is exactly as of `e`. Returns
-    /// the execution error the record carries, if any.
+    /// Flush the clean prefix, then dispatch one dirty record to every
+    /// member with `mem` exactly as of `e`. A spurious transition forks
+    /// the member off its timing group (state before `e`) and stalls
+    /// after `e` is consumed; any other transition only touches
+    /// statistics, so the member's timing stays with its group, which
+    /// consumes `e` last. A dynamic filter is rebuilt afterwards — the
+    /// record may have moved an indirect watch's target. Returns the
+    /// execution error the record carries, if any.
     fn dispatch_dirty(
         &mut self,
         e: &Exec,
         live: &mut [LiveObserver],
         mem: &Memory,
     ) -> Option<ExecError> {
-        debug_assert!(self.chunk.is_empty(), "flush the clean prefix before a dirty record");
-        self.chunk.push(*e);
-        self.flush(live, mem);
+        self.flush(live);
+        FANOUT_CHUNKS.fetch_add(1, Ordering::Relaxed);
+        FANOUT_CHUNKS_SCANNED.fetch_add(live.len() as u64, Ordering::Relaxed);
+        for l in live.iter_mut() {
+            let transition = l.observer.observe(e, mem, &mut l.watch, &mut l.stats);
+            if let Some(t) = transition {
+                l.stats.count(t);
+            }
+            if transition.is_some_and(|t| t.is_spurious()) {
+                let timings = l.timing.fork(&mut self.groups);
+                timings.consume(e);
+                timings.debugger_stall();
+            } else if let MemberTiming::Private(t) = &mut l.timing {
+                t.consume(e);
+            }
+            if l.filter.is_dynamic() {
+                l.filter = l.observer.filter(&l.watch, mem);
+            }
+        }
+        for g in self.groups.iter_mut().filter(|g| g.members > 0) {
+            g.timings.consume(e);
+        }
         match e.event {
             Some(Event::Error(err)) => Some(err),
             _ => None,
         }
     }
-}
-
-/// One member's record-by-record chunk scan. When a hit is spurious the
-/// member must interleave a stall with its consumes — it forks off its
-/// timing group (pre-chunk state) and reproduces the scalar loop's
-/// exact ordering: each record consumed before its transition is
-/// counted and stalled. Hits without stalls only touch statistics, so
-/// the member's cycle stream is still the plain slice and its timing
-/// stays shared (the caller consumes it group-wise); the return value
-/// says whether this member's models already consumed the chunk. A
-/// dynamic filter is rebuilt afterwards — the scan may have moved an
-/// indirect watch's target.
-fn scan_member(
-    l: &mut LiveObserver,
-    groups: &[TimingGroup],
-    records: &[Exec],
-    hits: &mut Vec<(u32, Transition)>,
-    mem: &Memory,
-) -> bool {
-    FANOUT_CHUNKS_SCANNED.fetch_add(1, Ordering::Relaxed);
-    hits.clear();
-    l.observer.observe_slice(records, mem, &mut l.watch, &mut l.stats, hits);
-    let consumed = if hits.iter().any(|&(_, t)| t.is_spurious()) {
-        let timings = l.timing.fork(groups);
-        let mut next = 0usize;
-        for &(i, t) in hits.iter() {
-            let i = i as usize;
-            timings.consume_slice(&records[next..=i]);
-            next = i + 1;
-            l.stats.count(t);
-            if t.is_spurious() {
-                timings.debugger_stall();
-            }
-        }
-        timings.consume_slice(&records[next..]);
-        true
-    } else {
-        for &(_, t) in hits.iter() {
-            l.stats.count(t);
-        }
-        false
-    };
-    if l.filter.is_dynamic() {
-        l.filter = l.observer.filter(&l.watch, mem);
-    }
-    consumed
 }
 
 /// Where an observer run's `Exec` stream comes from. (One per run,
@@ -671,48 +626,38 @@ enum Source {
 }
 
 impl Source {
-    /// Buffer up to `max` further records into `chunk`, stopping early
-    /// at a full chunk or at the first dirty record (returned, not
-    /// buffered). The source is matched once per call, never per
-    /// record.
-    fn next_chunk(
-        &mut self,
-        chunk: &mut ExecChunk,
-        max: u64,
-        live: &[LiveObserver],
-    ) -> (u64, Option<Exec>) {
+    /// The next record of the stream, `None` at its end. A live record
+    /// is teed to the trace writer, if any. A replayed record's store is
+    /// applied to the shadow memory before the record is returned,
+    /// mirroring the live order: the machine performs a store before
+    /// observers see its record.
+    ///
+    /// # Errors
+    ///
+    /// A replayed record that fails to decode ([`TraceReader::next`]).
+    fn next(&mut self) -> Result<Option<Exec>, TraceError> {
         match self {
-            Source::Live { exec, writer: None } => {
-                exec.step_chunk(chunk, max, |e| record_is_dirty(live, e))
+            Source::Live { exec, writer } => {
+                if exec.is_halted() {
+                    return Ok(None);
+                }
+                let e = exec.step();
+                if let Some(w) = writer {
+                    w.record(&e);
+                }
+                Ok(Some(e))
             }
-            Source::Live { exec, writer: Some(w) } => exec.step_chunk(chunk, max, |e| {
-                w.record(e);
-                record_is_dirty(live, e)
-            }),
             Source::Replay { reader, mem, exhausted } => {
-                let step = reader.next_chunk(chunk, max, |e| {
-                    // Mirror the live order: the machine performs a
-                    // store before observers see its record. Applying
-                    // it before the dirty verdict is safe — a clean
-                    // record's store missed every filter, so no member
-                    // observation can read the bytes it moved.
-                    if let Some(m) = e.mem {
-                        if m.is_store {
+                let next = reader.next()?;
+                match next {
+                    Some(e) => {
+                        if let Some(m) = e.mem.filter(|m| m.is_store) {
                             mem.write_u(m.addr, m.width, m.new_value);
                         }
                     }
-                    record_is_dirty(live, e)
-                });
-                // `TraceReader::open` validated every CRC eagerly, so a
-                // mid-stream decode failure means hand-damaged bytes
-                // that still satisfied their checksum — reject loudly,
-                // never deliver a silently wrong replay.
-                let (read, dirty) =
-                    step.unwrap_or_else(|e| panic!("trace replay failed mid-stream: {e}"));
-                // The chunk is never full on entry (the run flushes full
-                // chunks), so an empty read is the end of the stream.
-                *exhausted = read == 0;
-                (read, dirty)
+                    None => *exhausted = true,
+                }
+                Ok(next)
             }
         }
     }
@@ -742,33 +687,45 @@ struct ObserveRun {
     fan: FanOut,
     results: Vec<Result<Vec<SessionReport>, DebugError>>,
     error: Option<ExecError>,
+    /// The replayed stream failed to decode partway through; the run
+    /// stops and every admitted member fails with it.
+    trace_error: Option<TraceError>,
     text_bytes: u64,
 }
 
 impl ObserveRun {
     fn drive_budget(&mut self, budget: u64) -> u64 {
-        let ObserveRun { source, live, fan, error, .. } = self;
+        let ObserveRun { source, live, fan, error, trace_error, .. } = self;
         let mut n = 0u64;
-        while n < budget && !source.done() {
-            let (read, dirty) = source.next_chunk(&mut fan.chunk, budget - n, live);
-            n += read;
-            if let Some(e) = dirty {
-                fan.flush(live, source.mem());
+        while n < budget {
+            let e = match source.next() {
+                Ok(Some(e)) => e,
+                Ok(None) => break,
+                // `TraceReader::open` validated every CRC eagerly, so
+                // this is damaged bytes that still satisfied their
+                // checksum: stop, never deliver a silently wrong replay.
+                Err(e) => {
+                    *trace_error = Some(e);
+                    break;
+                }
+            };
+            n += 1;
+            if record_is_dirty(live, &e) {
                 if let Some(err) = fan.dispatch_dirty(&e, live, source.mem()) {
                     *error = Some(err);
                 }
-            } else if fan.chunk.is_full() {
-                fan.flush(live, source.mem());
+            } else {
+                fan.push_clean(e, live);
             }
         }
         // Nothing buffers across polls: a yielded task is exactly as
         // dispatched as a run-to-completion one.
-        fan.flush(live, source.mem());
+        fan.flush(live);
         n
     }
 
     fn done(&self) -> bool {
-        self.source.done()
+        self.trace_error.is_some() || self.source.done()
     }
 
     /// Seal the recording, if any, and scatter the finished members
@@ -776,7 +733,8 @@ impl ObserveRun {
     /// **once**; every member still on the group reports those same
     /// stats — bit-identical to the private models it never needed
     /// (cloning the whole model state instead would cost thousands of
-    /// cache-set allocations per member).
+    /// cache-set allocations per member). After a mid-stream decode
+    /// failure every admitted member reports that [`DebugError::Trace`].
     fn finish(self) -> Vec<Result<Vec<SessionReport>, DebugError>> {
         if let Source::Live { writer: Some(writer), .. } = self.source {
             // A recording the caller asked for must either be sealed or
@@ -787,6 +745,12 @@ impl ObserveRun {
             }
         }
         let (error, text_bytes, mut results) = (self.error, self.text_bytes, self.results);
+        if let Some(e) = self.trace_error {
+            for l in &self.live {
+                results[l.member] = Err(DebugError::Trace(e.clone()));
+            }
+            return results;
+        }
         let group_runs: Vec<Vec<RunStats>> =
             self.fan.groups.into_iter().map(|g| g.timings.finish()).collect();
         for l in self.live {
@@ -1097,9 +1061,11 @@ fn admit_members(
                         groups.push(TimingGroup {
                             timings: TimingBatch::new(cpus),
                             cfgs: cpus.clone(),
+                            members: 0,
                         });
                         groups.len() - 1
                     });
+                    groups[g].members += 1;
                     MemberTiming::Shared(g)
                 } else {
                     MemberTiming::Private(TimingBatch::new(cpus))
@@ -1177,6 +1143,7 @@ fn admit_observe(spec: ObserveSpec) -> Result<Admitted, DebugError> {
         fan: FanOut::new(groups, spec.fanout.chunk),
         results,
         error: None,
+        trace_error: None,
         text_bytes: prog.text_bytes(),
     })))
 }

@@ -1,6 +1,5 @@
 //! Watchpoint specifications and debugger-side expression evaluation.
 
-use dise_cpu::ChunkSummary;
 use dise_isa::Width;
 use dise_mem::Memory;
 
@@ -207,64 +206,56 @@ impl WatchState {
     }
 }
 
-/// A precomputed store-footprint prefilter for one observer member:
-/// the byte intervals whose mutation could possibly change what the
-/// member's `observe` call reports. The fan-out tests each
-/// [`ChunkSummary`] against the filter and skips the member's
-/// record-by-record scan when no store in the chunk can have touched a
-/// watched byte (and the chunk carries no event).
+/// A precomputed store-footprint filter for one observer member: the
+/// byte intervals whose mutation could possibly change what the
+/// member's `observe` call reports. The fan-out marks a record *dirty*
+/// when it carries an event or its store hits some member's filter;
+/// every other record is invisible to every member, so it joins a clean
+/// chunk that only the timing models see.
 ///
 /// The filter is sound by the same argument for every backend:
 ///
 /// - Virtual-memory protection traps on *pages*; the filter holds the
-///   protected pages, so any store that could fault intersects.
+///   protected pages, so any store that could fault hits it.
 /// - Hardware comparators match quad-aligned *quads* (plus fallback
 ///   pages); the filter holds them.
 /// - DISE comparators check the watchpoints' current intervals — and
 ///   for an indirect watch the interval set *includes the pointer
-///   cell*, so a store that retargets the pointer always intersects
-///   the filter and forces the record-by-record path. The filter
-///   therefore never needs speculative refresh: it can only go stale
-///   after a pointer-cell store, and that store is never skipped.
-///   After such a scan the fan-out rebuilds the (dynamic) filter from
-///   the refreshed [`WatchState`].
+///   cell*, so a store that retargets the pointer always hits the
+///   filter and is dispatched as a dirty record. The filter can only
+///   go stale after such a store, so the fan-out rebuilds a dynamic
+///   filter from the refreshed [`WatchState`] after every dirty record.
 #[derive(Clone, Debug)]
 pub struct WatchFilter {
-    /// Watched `(base, len)` byte intervals; empty means nothing can
-    /// ever trigger, so every store-only chunk is skippable.
+    /// Watched `(base, len)` byte intervals; empty means no store can
+    /// ever hit.
     intervals: Vec<(u64, u64)>,
     /// Cached bounding box over `intervals` for the cheap first reject.
     lo: u64,
     /// One past the last bounded byte (0 when `intervals` is empty).
     hi: u64,
-    /// Union of the intervals' page-occupancy bits
-    /// ([`ChunkSummary::page_bits`]).
-    page_mask: u64,
     /// True when some interval follows run-time state (an indirect
-    /// watch): the fan-out must rebuild the filter after every forced
-    /// scan, because the scan may have moved the watched target.
+    /// watch): the fan-out must rebuild the filter after every dirty
+    /// record, because observing it may have moved the watched target.
     dynamic: bool,
 }
 
 impl WatchFilter {
     /// A filter over the given intervals. `dynamic` marks filters whose
     /// intervals follow run-time state (indirect watches) and must be
-    /// rebuilt after each forced scan.
+    /// rebuilt after each dirty record.
     pub fn new(intervals: Vec<(u64, u64)>, dynamic: bool) -> WatchFilter {
         let mut lo = u64::MAX;
         let mut hi = 0u64;
-        let mut page_mask = 0u64;
         for &(base, len) in &intervals {
-            let len = len.max(1);
             lo = lo.min(base);
-            hi = hi.max(base.saturating_add(len));
-            page_mask |= ChunkSummary::page_bits(base, len);
+            hi = hi.max(base.saturating_add(len.max(1)));
         }
-        WatchFilter { intervals, lo, hi, page_mask, dynamic }
+        WatchFilter { intervals, lo, hi, dynamic }
     }
 
     /// True when the intervals follow run-time state and the filter
-    /// must be rebuilt after every forced scan.
+    /// must be rebuilt after every dirty record.
     pub fn is_dynamic(&self) -> bool {
         self.dynamic
     }
@@ -279,20 +270,6 @@ impl WatchFilter {
             && self.intervals.iter().any(|&(base, len)| {
                 addr < base.saturating_add(len) && base < addr.saturating_add(width)
             })
-    }
-
-    /// Could any store summarised in `chunk` overlap a watched
-    /// interval? Conservative in the same direction as the summary:
-    /// `false` proves no buffered store touched a watched byte.
-    pub fn intersects(&self, chunk: &ChunkSummary) -> bool {
-        let Some((lo, hi)) = chunk.stores() else { return false };
-        self.lo < hi
-            && lo < self.hi
-            && self.page_mask & chunk.page_mask() != 0
-            && self
-                .intervals
-                .iter()
-                .any(|&(base, len)| base < hi && lo < base.saturating_add(len.max(1)))
     }
 }
 

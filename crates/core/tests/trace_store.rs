@@ -3,7 +3,9 @@
 //! format version must fail **before** any member observes a single
 //! record — each failure class with its own [`TraceError`] variant, so
 //! callers (and error messages) can tell "re-record, the kernel
-//! changed" from "the file is damaged" from "wrong tool version".
+//! changed" from "the file is damaged" from "wrong tool version". The
+//! one class only a replay can find — a record that fails to decode
+//! behind valid CRCs — fails every member with a typed error too.
 //!
 //! Every test damages a freshly recorded, provably good trace — the
 //! happy path is asserted first, so a failure here is the rejection
@@ -13,12 +15,15 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use dise_asm::{parse_asm, Layout};
-use dise_cpu::CpuConfig;
+use dise_cpu::{
+    program_fingerprint, CpuConfig, Exec, ExecEncoder, Executor, TraceReader, MAX_BLOCK_STEPS,
+};
 use dise_debug::{
-    record_session, replay_from_trace, Application, BackendKind, DebugError, TraceError, WatchExpr,
-    Watchpoint,
+    record_session, replay_from_trace, Application, BackendKind, DebugError, ObserverBatch,
+    TraceError, WatchExpr, Watchpoint,
 };
 use dise_isa::Width;
+use dise_trace::ChunkWriter;
 
 /// Unique scratch path per test (tests share one process and may run
 /// concurrently).
@@ -166,5 +171,75 @@ fn rejection_happens_before_any_member_runs() {
     ];
     let err = replay_from_trace(&a, members, &path).expect_err("rejected for every member at once");
     assert!(matches!(err, DebugError::Trace(_)), "outer error carries the trace failure: {err}");
+    let _ = std::fs::remove_file(&path);
+}
+
+/// Encode `records` as one stream, the way a recording does.
+fn encode(records: &[Exec]) -> Vec<u8> {
+    let (mut enc, mut out) = (ExecEncoder::new(), Vec::new());
+    for e in records {
+        enc.encode(e, &mut out);
+    }
+    enc.finish(&mut out);
+    out
+}
+
+/// A record that fails to decode behind valid CRCs — here a store whose
+/// width byte says 3 — is found only when the replay reaches it. The
+/// run stops there and every admitted member reports that decode error:
+/// no panic, and no member gets half a replay.
+#[test]
+fn malformed_record_mid_replay_fails_every_member() {
+    let a = app(50);
+    let prog = a.program().expect("assembles");
+    let mut exec = Executor::from_program(&prog, CpuConfig::default());
+    let mut records = Vec::new();
+    while !exec.is_halted() {
+        records.push(exec.step());
+    }
+    // The first store past the fan-out's first chunk of records.
+    let k = (MAX_BLOCK_STEPS..records.len())
+        .find(|&i| records[i].mem.is_some_and(|m| m.is_store))
+        .expect("the loop stores past the first chunk");
+    // Narrowing that store to a longword changes exactly its width byte.
+    let mut narrowed = records[..=k].to_vec();
+    narrowed[k].mem.as_mut().expect("a store").width = 4;
+    let (quad, long) = (encode(&records[..=k]), encode(&narrowed));
+    assert_eq!(quad.len(), long.len());
+    let differing: Vec<usize> = (0..quad.len()).filter(|&i| quad[i] != long[i]).collect();
+    let [width_at] = differing[..] else { panic!("the width is one byte: {differing:?}") };
+    let mut bytes = encode(&records);
+    assert_eq!(bytes[..quad.len()], quad[..], "a stream prefix encodes as a byte prefix");
+    bytes[width_at] = 3;
+
+    // Two data chunks with valid CRCs; the damaged store is in the
+    // second, so the first decodes and dispatches cleanly.
+    let path = scratch("mid_stream");
+    let split = encode(&records[..k]).len();
+    let fingerprint = program_fingerprint(&prog);
+    let mut writer = ChunkWriter::create(&path, fingerprint).expect("create");
+    writer.chunk(&bytes[..split]).expect("first chunk");
+    writer.chunk(&bytes[split..]).expect("second chunk");
+    writer.finish(records.len() as u64).expect("finish");
+
+    let mut reader = TraceReader::open(&path, Some(fingerprint)).expect("every CRC is valid");
+    let expected = loop {
+        match reader.next() {
+            Ok(Some(_)) => {}
+            Ok(None) => panic!("the damaged store must not decode"),
+            Err(e) => break e,
+        }
+    };
+    assert!(matches!(expected, TraceError::Malformed { .. }), "wrong variant: {expected:?}");
+
+    let mut batch = ObserverBatch::new(&a);
+    for backend in [BackendKind::VirtualMemory, BackendKind::hw4(), BackendKind::DiseComparators] {
+        batch.member(backend, watch(&a), vec![CpuConfig::default()]);
+    }
+    let results = batch.run_from_trace(&path).expect("admission succeeds: the header is sound");
+    assert_eq!(results.len(), 3);
+    for r in results {
+        assert_eq!(r, Err(DebugError::Trace(expected.clone())));
+    }
     let _ = std::fs::remove_file(&path);
 }

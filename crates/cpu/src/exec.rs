@@ -192,201 +192,6 @@ pub struct Exec {
     pub event: Option<Event>,
 }
 
-/// A cheap digest of one chunk's records, maintained incrementally by
-/// [`ExecChunk::push`]: the union of store footprints (min/max byte
-/// interval plus a 64-bit page-occupancy mask) and whether any record
-/// carries a debugger-visible event. A consumer whose watched
-/// intervals cannot intersect the summary — and sees no event flag —
-/// knows without looking at a single record that no store in the chunk
-/// touched anything it watches.
-///
-/// The summary is conservative by construction: the min/max interval
-/// and the page mask both over-approximate the true footprint union,
-/// so a miss proves absence while a hit only licenses a scan.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct ChunkSummary {
-    /// Lowest byte address any store in the chunk touched
-    /// (`u64::MAX` when the chunk holds no stores).
-    store_lo: u64,
-    /// One past the highest byte address any store touched (0 when the
-    /// chunk holds no stores).
-    store_hi: u64,
-    /// Bloom mask of touched pages: bit `(addr / PAGE_SIZE) % 64` is
-    /// set for every page some store wrote.
-    page_mask: u64,
-    /// Some record carries an [`Event`] (trap, protection fault, halt,
-    /// or error).
-    any_event: bool,
-    /// Some record carries [`Event::Trap`].
-    any_trap: bool,
-    /// Some record carries [`Event::ProtFault`].
-    any_prot_fault: bool,
-}
-
-impl ChunkSummary {
-    /// The summary of zero records.
-    pub fn empty() -> ChunkSummary {
-        ChunkSummary {
-            store_lo: u64::MAX,
-            store_hi: 0,
-            page_mask: 0,
-            any_event: false,
-            any_trap: false,
-            any_prot_fault: false,
-        }
-    }
-
-    /// Fold one record into the summary.
-    fn note(&mut self, e: &Exec) {
-        if let Some(ev) = e.event {
-            self.any_event = true;
-            self.any_trap |= matches!(ev, Event::Trap);
-            self.any_prot_fault |= matches!(ev, Event::ProtFault { .. });
-        }
-        if let Some(m) = e.mem {
-            if m.is_store {
-                let width = m.width.max(1);
-                let end = m.addr.saturating_add(width);
-                self.store_lo = self.store_lo.min(m.addr);
-                self.store_hi = self.store_hi.max(end);
-                self.page_mask |= Self::page_bits(m.addr, width);
-            }
-        }
-    }
-
-    /// The page-occupancy bits of a `[addr, addr + len)` footprint. An
-    /// access of at most 8 bytes spans at most two pages; long
-    /// intervals (range watchpoints) walk page by page and saturate to
-    /// all-ones past 64 pages.
-    pub fn page_bits(addr: u64, len: u64) -> u64 {
-        let len = len.max(1);
-        let first = addr / dise_mem::PAGE_SIZE;
-        let last = addr.saturating_add(len - 1) / dise_mem::PAGE_SIZE;
-        if last - first >= 63 {
-            return u64::MAX;
-        }
-        let mut bits = 0u64;
-        for page in first..=last {
-            bits |= 1 << (page & 63);
-        }
-        bits
-    }
-
-    /// The union of the chunk's store footprints as one conservative
-    /// byte interval `[lo, hi)`, or `None` when the chunk stored
-    /// nothing.
-    pub fn stores(&self) -> Option<(u64, u64)> {
-        (self.store_hi > 0).then_some((self.store_lo, self.store_hi))
-    }
-
-    /// The page-occupancy Bloom mask of every store in the chunk.
-    pub fn page_mask(&self) -> u64 {
-        self.page_mask
-    }
-
-    /// True when some record carries a debugger-visible event — chunk
-    /// consumers must not skip records they would otherwise classify.
-    pub fn any_event(&self) -> bool {
-        self.any_event
-    }
-
-    /// True when some record carries [`Event::Trap`].
-    pub fn any_trap(&self) -> bool {
-        self.any_trap
-    }
-
-    /// True when some record carries [`Event::ProtFault`].
-    pub fn any_prot_fault(&self) -> bool {
-        self.any_prot_fault
-    }
-
-    /// Could a store in the chunk have touched `[base, base + len)`?
-    /// Conservative: `false` proves no store overlapped the interval;
-    /// `true` means the consumer must scan the records.
-    pub fn may_touch(&self, base: u64, len: u64) -> bool {
-        let len = len.max(1);
-        base < self.store_hi
-            && self.store_lo < base.saturating_add(len)
-            && self.page_mask & Self::page_bits(base, len) != 0
-    }
-}
-
-/// A fixed-capacity buffer of consecutive [`Exec`] records carrying a
-/// running [`ChunkSummary`] — the unit of slice-based fan-out. One
-/// chunk is allocated per run ([`ExecChunk::clear`] keeps the
-/// allocation), so a replay touches no per-record heap traffic.
-#[derive(Clone, Debug)]
-pub struct ExecChunk {
-    records: Vec<Exec>,
-    cap: usize,
-    summary: ChunkSummary,
-}
-
-impl ExecChunk {
-    /// An empty chunk holding at most `cap` records (at least one).
-    pub fn with_capacity(cap: usize) -> ExecChunk {
-        let cap = cap.max(1);
-        ExecChunk { records: Vec::with_capacity(cap), cap, summary: ChunkSummary::empty() }
-    }
-
-    /// The fixed record capacity.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
-    /// Records currently buffered.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// True when no records are buffered.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// True when the chunk holds `capacity` records and must be flushed
-    /// before another push.
-    pub fn is_full(&self) -> bool {
-        self.records.len() >= self.cap
-    }
-
-    /// The buffered records, in emission order.
-    pub fn records(&self) -> &[Exec] {
-        &self.records
-    }
-
-    /// The running summary of the buffered records.
-    pub fn summary(&self) -> &ChunkSummary {
-        &self.summary
-    }
-
-    /// Append a record and fold it into the summary.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the chunk is full — the caller owns the flush
-    /// cadence and a silent overflow would break its capacity
-    /// accounting.
-    pub fn push(&mut self, e: Exec) {
-        assert!(!self.is_full(), "ExecChunk::push on a full chunk (capacity {})", self.cap);
-        self.summary.note(&e);
-        self.records.push(e);
-    }
-
-    /// Drop the records and reset the summary, keeping the allocation —
-    /// the scratch buffer is reused across the whole run.
-    pub fn clear(&mut self) {
-        self.records.clear();
-        self.summary = ChunkSummary::empty();
-    }
-
-    /// The underlying buffer's allocated capacity in records — exposed
-    /// so tests can pin that a warm buffer never grows.
-    pub fn buffer_capacity(&self) -> usize {
-        self.records.capacity()
-    }
-}
-
 /// Saved resume point for a DISE call: the replacement sequence to
 /// re-enter at `⟨trigger_pc : idx⟩`.
 #[derive(Clone, Debug)]
@@ -412,8 +217,8 @@ enum Mode {
 const DECODED_SLOTS: usize = 4096;
 
 /// Maximum decoded steps per cached block — and, aligned with that
-/// block boundary, the default record capacity of an [`ExecChunk`] in
-/// slice-based fan-out.
+/// block boundary, the default number of clean records the observer
+/// fan-out buffers before handing them to timing as one slice.
 pub const MAX_BLOCK_STEPS: usize = 64;
 
 /// Granularity of the block invalidation index (power of two). A block
@@ -1005,38 +810,6 @@ impl Executor {
         }
     }
 
-    /// Execute up to `max` instructions, buffering *clean* records into
-    /// `chunk` — the bulk-emission twin of [`Executor::step`] for
-    /// slice-based fan-out.
-    ///
-    /// `dirty` is consulted once per record, in emission order, and
-    /// doubles as a per-record tee hook (trace recording rides on it).
-    /// A record it claims is **not** pushed; stepping stops and the
-    /// record is handed back so the caller can flush the buffered clean
-    /// prefix first and then dispatch the dirty record with memory
-    /// exactly as of that record. Stepping also stops when the chunk
-    /// fills or the machine halts.
-    ///
-    /// Returns `(records stepped, dirty record if any)`; the dirty
-    /// record counts toward the stepped total.
-    pub fn step_chunk(
-        &mut self,
-        chunk: &mut ExecChunk,
-        max: u64,
-        mut dirty: impl FnMut(&Exec) -> bool,
-    ) -> (u64, Option<Exec>) {
-        let mut n = 0u64;
-        while n < max && !chunk.is_full() && !self.is_halted() {
-            let e = self.step();
-            n += 1;
-            if dirty(&e) {
-                return (n, Some(e));
-            }
-            chunk.push(e);
-        }
-        (n, None)
-    }
-
     /// Execute one instruction and report what happened.
     ///
     /// # Panics
@@ -1415,117 +1188,6 @@ mod tests {
         // lda + 3*(subq+bgt) + halt
         assert_eq!(trace.len(), 1 + 6 + 1);
         assert!(matches!(trace.last().unwrap().event, Some(Event::Halted)));
-    }
-
-    /// `step_chunk` is `step` with buffering: the concatenation of the
-    /// pushed prefixes and handed-back dirty records reproduces the
-    /// scalar stream exactly, for every chunk capacity.
-    #[test]
-    fn step_chunk_reproduces_the_scalar_stream() {
-        let src = "start: la r1, v
-                          lda r2, 5(zero)
-                   loop:  stq r2, 0(r1)
-                          subq r2, 1, r2
-                          bgt r2, loop
-                          halt
-                   .data
-                   v: .quad 0";
-        let mut scalar = machine(src);
-        let reference = run(&mut scalar, 1000);
-        for cap in [1usize, 2, 3, 64] {
-            let mut m = machine(src);
-            let mut chunk = ExecChunk::with_capacity(cap);
-            let mut stream = Vec::new();
-            // Mark every third record dirty to exercise the hand-back.
-            let mut i = 0u64;
-            while !m.is_halted() {
-                let (stepped, dirty) = m.step_chunk(&mut chunk, u64::MAX, |_| {
-                    i += 1;
-                    i.is_multiple_of(3)
-                });
-                assert!(stepped <= cap as u64);
-                stream.extend_from_slice(chunk.records());
-                chunk.clear();
-                stream.extend(dirty);
-            }
-            assert_eq!(stream, reference, "capacity {cap}");
-        }
-    }
-
-    /// The chunk summary is a sound over-approximation: every store's
-    /// footprint and every event is covered, and `may_touch` never
-    /// returns false for a genuinely overlapped interval.
-    #[test]
-    fn chunk_summary_covers_all_stores_and_events() {
-        let mut m = machine(
-            "start: la r1, v
-                    lda r2, 7(zero)
-                    stq r2, 0(r1)
-                    stl r2, 16(r1)
-                    halt
-             .data
-             v: .quad 0
-               .quad 0
-               .quad 0",
-        );
-        let mut chunk = ExecChunk::with_capacity(64);
-        let (_, dirty) = m.step_chunk(&mut chunk, u64::MAX, |_| false);
-        assert!(dirty.is_none());
-        let s = *chunk.summary();
-        assert!(s.any_event(), "the halt record is an event");
-        assert!(!s.any_trap());
-        assert!(!s.any_prot_fault());
-        let (lo, hi) = s.stores().expect("two stores buffered");
-        for e in chunk.records() {
-            let Some(mo) = e.mem.filter(|m| m.is_store) else { continue };
-            assert!(mo.addr >= lo && mo.addr + mo.width <= hi);
-            assert!(s.may_touch(mo.addr, mo.width));
-            assert!(s.may_touch(mo.addr + mo.width - 1, 1), "last byte covered");
-        }
-        assert!(!s.may_touch(0, 1), "address zero is far from the data segment");
-        assert_eq!(ChunkSummary::empty().stores(), None);
-        assert!(!ChunkSummary::empty().may_touch(0, u64::MAX));
-    }
-
-    /// The scratch-buffer contract: clearing keeps the allocation, so a
-    /// warm chunk never grows however many fill/clear cycles it serves.
-    #[test]
-    fn chunk_buffer_capacity_is_stable_after_warmup() {
-        let src = "start: lda r1, 200(zero)
-                   loop:  subq r1, 1, r1
-                          bgt r1, loop
-                          halt";
-        let mut m = machine(src);
-        let mut chunk = ExecChunk::with_capacity(16);
-        // Warm-up: one full fill.
-        m.step_chunk(&mut chunk, u64::MAX, |_| false);
-        let warm = chunk.buffer_capacity();
-        chunk.clear();
-        while !m.is_halted() {
-            m.step_chunk(&mut chunk, u64::MAX, |_| false);
-            assert_eq!(chunk.buffer_capacity(), warm, "no growth after warm-up");
-            chunk.clear();
-        }
-        assert_eq!(chunk.buffer_capacity(), warm);
-    }
-
-    #[test]
-    #[should_panic(expected = "full chunk")]
-    fn pushing_to_a_full_chunk_panics() {
-        let mut chunk = ExecChunk::with_capacity(1);
-        let e = Exec {
-            pc: 0,
-            disepc: 0,
-            in_dise_call: false,
-            instr: Instr::Nop,
-            fetched: true,
-            branch: None,
-            mem: None,
-            flush: None,
-            event: None,
-        };
-        chunk.push(e);
-        chunk.push(e);
     }
 
     #[test]

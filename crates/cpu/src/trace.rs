@@ -45,7 +45,7 @@ use dise_isa::{decode as decode_instr, encode as encode_instr, INSTR_BYTES};
 use dise_trace::wire::{apply_delta, delta, read_uvarint, write_uvarint};
 use dise_trace::{read_chunk_file, ChunkWriter, TraceError};
 
-use crate::exec::{Branch, BranchKind, Event, Exec, ExecChunk, ExecError, FlushKind, MemOp};
+use crate::exec::{Branch, BranchKind, Event, Exec, ExecError, FlushKind, MemOp};
 use crate::{CpuConfig, RunStats, TimingBatch, MAX_BLOCK_STEPS};
 
 /// Target size of one compressed data chunk. Chunking is pure byte
@@ -629,44 +629,6 @@ impl TraceReader {
         }
     }
 
-    /// Decode up to `max` records into `chunk` — the bulk-decode twin
-    /// of [`TraceReader::next`] for slice-based fan-out. The chunk is a
-    /// caller-owned scratch buffer reused across the whole replay, so
-    /// decoding a stream costs no per-record heap traffic.
-    ///
-    /// `dirty` is consulted once per record, in decode order, and
-    /// doubles as a per-record tee hook (the replay shadow memory rides
-    /// on it). A record it claims is **not** pushed; decoding stops and
-    /// the record is handed back so the caller can flush the buffered
-    /// clean prefix first. Decoding also stops when the chunk fills or
-    /// the stream ends — end of stream is the `(0, None)` return with
-    /// an empty pushed prefix, and like [`TraceReader::next`] it is
-    /// idempotent.
-    ///
-    /// Returns `(records decoded, dirty record if any)`; the dirty
-    /// record counts toward the decoded total.
-    ///
-    /// # Errors
-    ///
-    /// [`TraceError::Malformed`], per [`TraceReader::next`].
-    pub fn next_chunk(
-        &mut self,
-        chunk: &mut ExecChunk,
-        max: u64,
-        mut dirty: impl FnMut(&Exec) -> bool,
-    ) -> Result<(u64, Option<Exec>), TraceError> {
-        let mut n = 0u64;
-        while n < max && !chunk.is_full() {
-            let Some(e) = self.next()? else { break };
-            n += 1;
-            if dirty(&e) {
-                return Ok((n, Some(e)));
-            }
-            chunk.push(e);
-        }
-        Ok((n, None))
-    }
-
     /// Total records the trace declares.
     pub fn records(&self) -> u64 {
         self.records
@@ -700,18 +662,17 @@ pub fn replay_timing(
 ) -> Result<Vec<RunStats>, TraceError> {
     let mut batch = TimingBatch::new(cpus);
     // Pure timing replay has no observers, so every record is clean:
-    // decode whole chunks into one scratch buffer and account each as a
+    // decode into one scratch buffer and account each full buffer as a
     // slice, models-outer / records-inner.
-    let mut chunk = ExecChunk::with_capacity(MAX_BLOCK_STEPS);
-    loop {
-        let (read, dirty) = reader.next_chunk(&mut chunk, u64::MAX, |_| false)?;
-        debug_assert!(dirty.is_none(), "the never-dirty closure returned a record");
-        batch.consume_slice(chunk.records());
-        chunk.clear();
-        if read == 0 {
-            break;
+    let mut buf = Vec::with_capacity(MAX_BLOCK_STEPS);
+    while let Some(e) = reader.next()? {
+        buf.push(e);
+        if buf.len() == MAX_BLOCK_STEPS {
+            batch.consume_slice(&buf);
+            buf.clear();
         }
     }
+    batch.consume_slice(&buf);
     Ok(batch.finish())
 }
 

@@ -15,8 +15,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use dise_asm::{parse_asm, Layout, Program};
 use dise_cpu::{
-    program_fingerprint, replay_timing, CpuConfig, Exec, ExecChunk, ExecEncoder, Executor, Machine,
-    MemOp, TraceReader, TraceWriter,
+    program_fingerprint, replay_timing, CpuConfig, Exec, ExecEncoder, Executor, Machine, MemOp,
+    TraceReader, TraceWriter,
 };
 use dise_isa::{Instr, Reg, Width};
 use dise_trace::{ChunkWriter, TraceError};
@@ -126,47 +126,6 @@ fn timing_replay_from_trace_equals_the_live_machine() {
         TraceReader::open(&path, Some(program_fingerprint(&prog))).expect("valid trace");
     let replayed = replay_timing(&mut reader, &[CpuConfig::default(), cheap]).expect("replays");
     assert_eq!(replayed, vec![live_default, live_cheap], "timing from trace must be exact");
-}
-
-/// Chunked decode is per-record decode with buffering: `next_chunk`
-/// delivers the identical stream, end-of-stream is idempotent, and —
-/// the scratch-buffer contract — one warm chunk serves the entire
-/// replay without its allocation ever growing.
-#[test]
-fn chunked_decode_matches_per_record_decode_with_a_stable_buffer() {
-    let prog = tight_loop();
-    let path = scratch("chunked.dtrc");
-    record(&prog, &path);
-
-    let mut scalar =
-        TraceReader::open(&path, Some(program_fingerprint(&prog))).expect("valid trace");
-    let mut chunked =
-        TraceReader::open(&path, Some(program_fingerprint(&prog))).expect("valid trace");
-    let mut chunk = ExecChunk::with_capacity(64);
-    // Warm-up: the first fill reserves the buffer once.
-    let (read, dirty) = chunked.next_chunk(&mut chunk, u64::MAX, |_| false).expect("decodes");
-    assert_eq!(read, 64, "first fill is a whole chunk");
-    assert!(dirty.is_none());
-    let warm = chunk.buffer_capacity();
-    let mut total = 0u64;
-    loop {
-        for e in chunk.records() {
-            assert_eq!(Some(*e), scalar.next().expect("decodes"), "record {total}");
-            total += 1;
-        }
-        chunk.clear();
-        assert_eq!(chunk.buffer_capacity(), warm, "no growth after warm-up");
-        let (read, dirty) = chunked.next_chunk(&mut chunk, u64::MAX, |_| false).expect("decodes");
-        assert!(dirty.is_none());
-        if read == 0 {
-            break;
-        }
-    }
-    assert_eq!(scalar.next().expect("clean end"), None);
-    assert_eq!(total, chunked.records());
-    // End of stream is idempotent for the chunked path too.
-    let (read, _) = chunked.next_chunk(&mut chunk, u64::MAX, |_| false).expect("idempotent end");
-    assert_eq!(read, 0);
 }
 
 #[test]

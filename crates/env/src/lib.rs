@@ -8,7 +8,7 @@
 //! default the user did not ask for — a mistyped `DISE_ITERS=4O0` that
 //! quietly ran the default scale would invalidate a table without
 //! anyone noticing. This crate holds the parsers ([`env_number`],
-//! [`env_flag`], [`env_string`]) so every binary keeps that contract.
+//! [`env_string`]) so every binary keeps that contract.
 //!
 //! Unset and empty/whitespace-only values mean "use the default" for
 //! both parsers: an empty variable is how shells and CI matrices spell
@@ -34,28 +34,6 @@ where
         Err(std::env::VarError::NotUnicode(s)) => {
             panic!("invalid {name} value {s:?}: not unicode")
         }
-    }
-}
-
-/// Parse a boolean environment knob, `default` when unset or empty:
-/// `1`/`true`/`on` enable, `0`/`false`/`off` disable (whitespace
-/// trimmed).
-///
-/// # Panics
-///
-/// Panics on any other value — the loud-on-typo contract.
-pub fn env_flag(name: &str, default: bool) -> bool {
-    match std::env::var(name) {
-        Err(std::env::VarError::NotPresent) => default,
-        Err(std::env::VarError::NotUnicode(s)) => {
-            panic!("invalid {name} value {s:?}: not unicode")
-        }
-        Ok(v) => match v.trim() {
-            "" => default,
-            "1" | "true" | "on" => true,
-            "0" | "false" | "off" => false,
-            other => panic!("{name} must be 0/1/true/false/on/off, got {other:?}"),
-        },
     }
 }
 
@@ -125,41 +103,6 @@ mod tests {
     }
 
     #[test]
-    fn flags_parse_every_spelling_and_default() {
-        assert!(env_flag("DISE_ENV_TEST_FLAG_UNSET", true));
-        assert!(!env_flag("DISE_ENV_TEST_FLAG_UNSET", false));
-        for (value, expect) in [
-            ("1", true),
-            ("true", true),
-            ("on", true),
-            ("0", false),
-            ("false", false),
-            ("off", false),
-            (" on ", true),
-            ("", false),
-        ] {
-            std::env::set_var("DISE_ENV_TEST_FLAG_VAL", value);
-            assert_eq!(
-                env_flag("DISE_ENV_TEST_FLAG_VAL", false),
-                expect,
-                "value {value:?} must parse"
-            );
-            std::env::remove_var("DISE_ENV_TEST_FLAG_VAL");
-        }
-    }
-
-    #[test]
-    fn flag_typo_fails_loudly_naming_knob_and_value() {
-        // The canonical near-miss: `ture` must not silently disable (or
-        // enable) the knob the user was trying to set.
-        std::env::set_var("DISE_ENV_TEST_FLAG_TYPO", "ture");
-        let err = catch_unwind(|| env_flag("DISE_ENV_TEST_FLAG_TYPO", true)).unwrap_err();
-        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-        assert!(msg.contains("DISE_ENV_TEST_FLAG_TYPO"), "panic names the knob: {msg}");
-        assert!(msg.contains("ture"), "panic shows the bad value: {msg}");
-    }
-
-    #[test]
     fn strings_trim_and_treat_empty_as_unset() {
         assert_eq!(env_string("DISE_ENV_TEST_STR_UNSET"), None);
         std::env::set_var("DISE_ENV_TEST_STR_SET", "/tmp/traces");
@@ -174,14 +117,5 @@ mod tests {
         assert_eq!(env_string("DISE_ENV_TEST_STR_EMPTY"), None, "empty means unset");
         std::env::set_var("DISE_ENV_TEST_STR_BLANK", "   ");
         assert_eq!(env_string("DISE_ENV_TEST_STR_BLANK"), None, "blank means unset");
-    }
-
-    #[test]
-    fn flag_case_is_not_guessed() {
-        // `TRUE`/`ON` are rejected rather than guessed: the accepted
-        // spellings are part of the documented contract, and guessing
-        // case invites guessing further.
-        std::env::set_var("DISE_ENV_TEST_FLAG_CASE", "TRUE");
-        assert!(catch_unwind(|| env_flag("DISE_ENV_TEST_FLAG_CASE", false)).is_err());
     }
 }

@@ -546,7 +546,8 @@ proptest! {
     /// record/replay path — the three-member observer batch must report
     /// byte-identically to `chunk: 1` (the per-record fan-out), and
     /// every run's chunk-skip counters must conserve: every (member,
-    /// chunk) pair is skipped or scanned, never both, never neither.
+    /// chunk) pair is skipped or scanned, never both, never neither —
+    /// and each chunk is decided alike for every member.
     #[test]
     fn chunked_fanout_is_byte_identical_for_every_chunk_size(
         actions in prop::collection::vec(any_watch_action(), 1..40),
@@ -593,8 +594,11 @@ proptest! {
                 }
             };
             let chunks = fanout_chunks() - c0;
-            let decisions = (fanout_chunks_scanned() - s0) + (fanout_chunks_skipped() - k0);
-            (out.into_observe().unwrap(), decisions, 3 * chunks)
+            let (scanned, skipped) = (fanout_chunks_scanned() - s0, fanout_chunks_skipped() - k0);
+            // Every chunk is decided alike for all three members.
+            assert_eq!(scanned % 3, 0, "scanned {scanned} is not a multiple of the members");
+            assert_eq!(skipped % 3, 0, "skipped {skipped} is not a multiple of the members");
+            (out.into_observe().unwrap(), scanned + skipped, 3 * chunks)
         };
         let run = |chunk: usize, share_timing: bool, budget: u64| {
             drive(SessionTask::observer(&app, members.clone()), chunk, share_timing, budget)
