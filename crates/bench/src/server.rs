@@ -36,15 +36,15 @@ use std::fmt::Write as _;
 
 use dise_cpu::CpuConfig;
 use dise_debug::{BackendKind, DebugError, SchedStats, Scheduler, SessionReport, SessionTask};
-use dise_workloads::{by_name, WatchKind};
+use dise_workloads::{by_name, WatchKind, KERNEL_NAMES};
 
 /// One parsed job line: a named debugging session request.
 #[derive(Clone, Debug, PartialEq)]
 pub struct JobSpec {
     /// Unique session name (the grammar's first token).
     pub name: String,
-    /// Kernel to debug (`kernel=`), validated against
-    /// [`dise_workloads::by_name`].
+    /// Kernel to debug (`kernel=`), one of
+    /// [`dise_workloads::KERNEL_NAMES`].
     pub kernel: String,
     /// Kernel scale (`iters=`, default 40 — small enough that a
     /// thousand-session queue drains in seconds on one core).
@@ -121,9 +121,10 @@ pub fn parse_jobs(text: &str) -> Result<Vec<JobSpec>, String> {
                 .ok_or_else(|| at(format!("expected key=value, got {tok:?}")))?;
             match key {
                 "kernel" => {
-                    if by_name(value, 1).is_none() {
+                    if !KERNEL_NAMES.contains(&value) {
                         return Err(at(format!(
-                            "unknown kernel {value:?} (expected bzip2/crafty/gcc/mcf/twolf/vortex)"
+                            "unknown kernel {value:?} (expected {})",
+                            KERNEL_NAMES.join("/")
                         )));
                     }
                     kernel = Some(value.to_string());

@@ -432,25 +432,6 @@ impl<'a> ObserverBatch<'a> {
             .into_observe()
     }
 
-    /// Like [`ObserverBatch::run`], but record the shared functional
-    /// pass to `trace` as it is driven. The file appears atomically on
-    /// completion and can serve any number of later
-    /// [`ObserverBatch::run_from_trace`] calls.
-    ///
-    /// # Errors
-    ///
-    /// Exactly as [`ObserverBatch::run`], plus [`DebugError::Trace`]
-    /// when the trace file cannot be created.
-    pub fn run_recorded(
-        self,
-        trace: &std::path::Path,
-    ) -> Result<Vec<Result<Vec<SessionReport>, DebugError>>, DebugError> {
-        SessionTask::observer_recorded(self.app, self.members, trace)
-            .with_fanout(self.fanout)
-            .run_to_completion()
-            .into_observe()
-    }
-
     /// Like [`ObserverBatch::run`], but drive every member from the
     /// stored `Exec` stream at `trace` instead of executing the
     /// application: **zero** functional passes, zero image loads,

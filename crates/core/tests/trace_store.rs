@@ -9,18 +9,21 @@
 //!
 //! Every test damages a freshly recorded, provably good trace — the
 //! happy path is asserted first, so a failure here is the rejection
-//! logic, never the recording.
+//! logic, never the recording. The happy path itself is pinned per
+//! calibrated kernel: a recorded stream replays through the timing
+//! model to exactly the live machine's statistics.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use dise_asm::{parse_asm, Layout};
 use dise_cpu::{
-    program_fingerprint, CpuConfig, Exec, ExecEncoder, Executor, TraceReader, MAX_BLOCK_STEPS,
+    program_fingerprint, replay_timing, CpuConfig, Exec, ExecEncoder, Executor, TraceReader,
+    MAX_BLOCK_STEPS,
 };
 use dise_debug::{
-    record_session, replay_from_trace, Application, BackendKind, DebugError, ObserverBatch,
-    TraceError, WatchExpr, Watchpoint,
+    app_fingerprint, record_session, replay_from_trace, run_baseline, Application, BackendKind,
+    DebugError, ObserverBatch, TraceError, WatchExpr, Watchpoint,
 };
 use dise_isa::Width;
 use dise_trace::ChunkWriter;
@@ -242,4 +245,20 @@ fn malformed_record_mid_replay_fails_every_member() {
         assert_eq!(r, Err(DebugError::Trace(expected.clone())));
     }
     let _ = std::fs::remove_file(&path);
+}
+
+/// Every calibrated kernel, recorded once and replayed from disk through
+/// the timing model, matches the live machine's run statistics exactly.
+#[test]
+fn replayed_timing_equals_the_live_baseline_on_every_kernel() {
+    for w in dise_workloads::all(20) {
+        let path = scratch(w.name());
+        record_session(w.app(), &path).expect("kernel records");
+        let fp = app_fingerprint(w.app()).expect("kernel assembles");
+        let mut reader = TraceReader::open(&path, Some(fp)).expect("fresh trace opens");
+        let replayed = replay_timing(&mut reader, &[CpuConfig::default()]).expect("trace replays");
+        let live = run_baseline(w.app(), CpuConfig::default()).expect("kernel runs");
+        assert_eq!(replayed, vec![live], "{}: replay must match the live machine", w.name());
+        let _ = std::fs::remove_file(&path);
+    }
 }

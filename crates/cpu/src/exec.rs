@@ -480,12 +480,6 @@ impl Executor {
         self.block_stats
     }
 
-    /// Whether the block-level decoded-trace cache is enabled (default
-    /// on).
-    pub fn block_cache_enabled(&self) -> bool {
-        self.block_cache
-    }
-
     /// Enable/disable the block cache, dropping any cached blocks. The
     /// `Exec` stream is byte-identical in either state (the reference
     /// the block-cache tests compare against); only the counters and

@@ -450,7 +450,7 @@ impl ExecDecoder {
     }
 }
 
-/// Size and throughput accounting for one recorded (or opened) trace.
+/// Size accounting for one recorded trace.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct TraceStats {
     /// Records in the stream.
@@ -470,10 +470,6 @@ impl TraceStats {
         }
         self.raw_bytes as f64 / self.file_bytes as f64
     }
-}
-
-fn raw_bytes(records: u64) -> u64 {
-    records * std::mem::size_of::<Exec>() as u64
 }
 
 /// Records an `Exec` stream to a trace file.
@@ -539,7 +535,8 @@ impl TraceWriter {
             self.store.chunk(&self.buf)?;
         }
         let file_bytes = self.store.finish(self.records)?;
-        Ok(TraceStats { records: self.records, raw_bytes: raw_bytes(self.records), file_bytes })
+        let raw_bytes = self.records * std::mem::size_of::<Exec>() as u64;
+        Ok(TraceStats { records: self.records, raw_bytes, file_bytes })
     }
 }
 
@@ -556,8 +553,6 @@ pub struct TraceReader {
     decoder: ExecDecoder,
     delivered: u64,
     records: u64,
-    fingerprint: u64,
-    file_bytes: u64,
 }
 
 impl TraceReader {
@@ -588,8 +583,6 @@ impl TraceReader {
             decoder: ExecDecoder::new(),
             delivered: 0,
             records: file.record_count,
-            fingerprint: file.fingerprint,
-            file_bytes: file.file_bytes,
         })
     }
 
@@ -632,20 +625,6 @@ impl TraceReader {
     /// Total records the trace declares.
     pub fn records(&self) -> u64 {
         self.records
-    }
-
-    /// The kernel fingerprint stamped in the header.
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
-    }
-
-    /// Size accounting for the opened trace.
-    pub fn stats(&self) -> TraceStats {
-        TraceStats {
-            records: self.records,
-            raw_bytes: raw_bytes(self.records),
-            file_bytes: self.file_bytes,
-        }
     }
 }
 

@@ -33,6 +33,6 @@ mod system;
 mod tlb;
 
 pub use cache::{Cache, CacheConfig, CacheStats};
-pub use memory::{AddrHasher, Checkpoint, CowStats, Memory, ProtFault, PAGE_SIZE};
+pub use memory::{AddrHasher, CowStats, Memory, ProtFault, PAGE_SIZE};
 pub use system::{MemConfig, MemSystem};
 pub use tlb::Tlb;

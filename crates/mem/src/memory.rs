@@ -1,8 +1,8 @@
 //! Sparse paged memory with per-page write protection and
 //! copy-on-write forking.
 //!
-//! Pages are reference-counted (`Arc`) so cloning a [`Memory`] — or
-//! taking a [`Checkpoint`] — is O(page-table), not O(resident bytes):
+//! Pages are reference-counted (`Arc`) so cloning or forking a
+//! [`Memory`] is O(page-table), not O(resident bytes):
 //! both sides share every page until one of them writes, at which point
 //! [`Arc::make_mut`] unshares just the written page. The protection set
 //! is a plain per-`Memory` page-number set, deep-copied on fork, so a
@@ -68,38 +68,20 @@ impl std::error::Error for ProtFault {}
 /// Copy-on-write bookkeeping for one [`Memory`].
 ///
 /// `pages_shared` is the number of resident pages at the most recent
-/// sharing event (fork, or restore from a checkpoint); `pages_copied`
-/// counts every page this memory had to unshare before writing, over
-/// its whole lifetime; `forks` counts how many children were forked
-/// *from* this memory. For a fresh fork child whose parent has not been
-/// written since the fork, `pages_copied + shared_pages() ==
-/// pages_shared` holds at every point of the child's run.
+/// fork; `pages_copied` counts every page this memory had to unshare
+/// before writing, over its whole lifetime; `forks` counts how many
+/// children were forked *from* this memory. For a fresh fork child
+/// whose parent has not been written since the fork, `pages_copied +
+/// shared_pages() == pages_shared` holds at every point of the child's
+/// run.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct CowStats {
-    /// Resident pages at the most recent fork/restore (all shared then).
+    /// Resident pages at the most recent fork (all shared then).
     pub pages_shared: u64,
     /// Lifetime count of pages unshared (physically copied) by writes.
     pub pages_copied: u64,
     /// Number of children forked from this memory.
     pub forks: u64,
-}
-
-/// An O(page-table) snapshot of a [`Memory`].
-///
-/// Holds reference-counted pages and a deep copy of the protection
-/// set; restoring never copies page bytes — pages become shared again
-/// and unshare lazily on the next write to either side.
-#[derive(Clone, Debug)]
-pub struct Checkpoint {
-    pages: PageMap,
-    write_protected: PageSet,
-}
-
-impl Checkpoint {
-    /// Number of pages captured by this checkpoint.
-    pub fn resident_pages(&self) -> usize {
-        self.pages.len()
-    }
 }
 
 /// Sparse 64-bit byte-addressable memory.
@@ -300,15 +282,9 @@ impl Memory {
         self.pages.len()
     }
 
-    /// Bytes backed by resident pages (`resident_pages * PAGE_SIZE`).
-    pub fn resident_bytes(&self) -> u64 {
-        self.pages.len() as u64 * PAGE_SIZE
-    }
-
-    /// Pages currently shared with at least one fork or checkpoint.
+    /// Pages currently shared with at least one fork or clone.
     ///
-    /// O(page-table); intended for tests and ablation reporting, not
-    /// hot paths.
+    /// O(page-table); intended for tests, not hot paths.
     pub fn shared_pages(&self) -> usize {
         self.pages.values().filter(|p| Arc::strong_count(p) > 1).count()
     }
@@ -336,24 +312,6 @@ impl Memory {
             write_protected: self.write_protected.clone(),
             cow: CowStats { pages_shared: n, pages_copied: 0, forks: 0 },
         }
-    }
-
-    /// Snapshot the current contents (and protection set) in
-    /// O(page-table) time without copying page bytes.
-    pub fn checkpoint(&self) -> Checkpoint {
-        Checkpoint { pages: self.pages.clone(), write_protected: self.write_protected.clone() }
-    }
-
-    /// Restore contents and protections from a checkpoint.
-    ///
-    /// O(page-table): pages become shared with the checkpoint again
-    /// and unshare lazily on the next write. `pages_shared` is
-    /// re-anchored to the restored page count; `pages_copied` and
-    /// `forks` remain lifetime counters.
-    pub fn restore(&mut self, ck: &Checkpoint) {
-        self.pages = ck.pages.clone();
-        self.write_protected = ck.write_protected.clone();
-        self.cow.pages_shared = self.pages.len() as u64;
     }
 }
 
@@ -445,7 +403,7 @@ mod tests {
         assert_eq!(parent.cow_stats().forks, 1);
         assert_eq!(child.cow_stats(), CowStats { pages_shared: 2, pages_copied: 0, forks: 0 });
         assert_eq!(child.shared_pages(), 2);
-        assert_eq!(child.resident_bytes(), 2 * PAGE_SIZE);
+        assert_eq!(child.resident_pages(), 2);
 
         // Child write unshares exactly one page; the parent's copy is
         // untouched.
@@ -501,32 +459,6 @@ mod tests {
         // A faulted write never unshares: the check runs before the
         // copy-on-write path touches the page.
         assert_eq!(parent.cow_stats().pages_copied, 0);
-    }
-
-    #[test]
-    fn checkpoint_restore_round_trips_contents_and_protections() {
-        let mut m = Memory::new();
-        m.write_u(0x1000, 8, 0xaa);
-        m.protect_page(0x1000, true);
-        let ck = m.checkpoint();
-        assert_eq!(ck.resident_pages(), 1);
-
-        m.protect_page(0x1000, false);
-        m.write_u(0x1000, 8, 0xbb);
-        m.write_u(0x4000, 8, 0xcc);
-        m.restore(&ck);
-
-        assert_eq!(m.read_u(0x1000, 8), 0xaa);
-        assert_eq!(m.read_u(0x4000, 8), 0, "post-checkpoint page dropped");
-        assert!(m.page_is_protected(0x1000));
-        assert_eq!(m.cow_stats().pages_shared, 1);
-
-        // Restored pages are shared with the checkpoint; writing after
-        // restore unshares without disturbing the checkpoint.
-        m.write_u(0x1000, 8, 0xdd);
-        let mut again = Memory::new();
-        again.restore(&ck);
-        assert_eq!(again.read_u(0x1000, 8), 0xaa);
     }
 
     #[test]

@@ -155,8 +155,6 @@ pub struct ChunkFile {
     pub record_count: u64,
     /// All data-chunk payloads, concatenated in file order.
     pub payload: Vec<u8>,
-    /// Total size of the file in bytes.
-    pub file_bytes: u64,
 }
 
 /// Read and validate an entire chunk file eagerly: magic, version,
@@ -231,7 +229,6 @@ pub fn read_chunk_file(path: &Path) -> Result<ChunkFile, TraceError> {
                     fingerprint,
                     record_count: u64::from_le_bytes(count),
                     payload,
-                    file_bytes: bytes.len() as u64,
                 });
             }
             other => {
@@ -274,8 +271,7 @@ mod tests {
         assert_eq!(file.fingerprint, 0xDEAD_BEEF_F00D_CAFE);
         assert_eq!(file.payload, b"hello world");
         assert_eq!(file.record_count, 11);
-        assert_eq!(file.file_bytes, bytes);
-        assert_eq!(file.file_bytes, fs::metadata(&path).expect("metadata").len());
+        assert_eq!(bytes, fs::metadata(&path).expect("metadata").len());
     }
 
     #[test]

@@ -60,6 +60,11 @@ pub fn all(iters: u32) -> Vec<Workload> {
     ]
 }
 
+/// The six kernels' benchmark names, in [`all`]'s order: exactly the
+/// names [`by_name`] resolves, so a name can be checked without
+/// building its kernel.
+pub const KERNEL_NAMES: [&str; 6] = ["bzip2", "crafty", "gcc", "mcf", "twolf", "vortex"];
+
 /// Look up a kernel by benchmark name.
 pub fn by_name(name: &str, iters: u32) -> Option<Workload> {
     match name {
@@ -70,5 +75,20 @@ pub fn by_name(name: &str, iters: u32) -> Option<Workload> {
         "twolf" => Some(Workload::twolf(iters)),
         "vortex" => Some(Workload::vortex(iters)),
         _ => None,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn kernel_names_are_exactly_what_by_name_resolves() {
+        let names: Vec<&str> = all(1).iter().map(Workload::name).collect();
+        assert_eq!(names, KERNEL_NAMES);
+        for name in KERNEL_NAMES {
+            assert_eq!(by_name(name, 1).map(|w| w.name()), Some(name));
+        }
+        assert!(by_name("spec", 1).is_none());
     }
 }
